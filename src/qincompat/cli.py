@@ -96,6 +96,12 @@ def _run_measure(args: argparse.Namespace) -> int:
     config = _config(args)
     obs = documents.parse_observable_set(documents.load_document(args.input))
     report = incompatibility(obs, config)
+    capped = sum(sweeps >= config.max_iters for sweeps in report.start_sweeps)
+    if capped:
+        sys.stderr.write(
+            f"note: {capped} of {len(report.start_sweeps)} see-saw starts stopped at"
+            f" --max-iters {config.max_iters} before converging\n"
+        )
     doc = {
         "command": "measure",
         "input": args.input,

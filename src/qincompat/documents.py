@@ -42,13 +42,15 @@ def to_pairs(array: np.ndarray):
 
 
 def from_pairs(data, where: str) -> np.ndarray:
-    """Parse nested [re, im] pairs back into a complex array."""
+    """Parse nested [re, im] pairs back into a complex array; NaN and Inf are rejected."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: malformed complex array ({exc})") from exc
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise InputFormatError(f"{where}: complex entries must be [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise InputFormatError(f"{where}: non-finite number")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -143,6 +145,7 @@ def incompatibility_report_to_dict(report: IncompatibilityReport) -> dict:
         "fuchs_floor": report.fuchs_floor,
         "iterations_used": report.iterations_used,
         "restart_trace": list(report.restart_trace),
+        "start_sweeps": list(report.start_sweeps),
         "minimal_subset_labels": list(report.minimal_subset_labels),
         "search_status": report.search_status,
         "best_povm": povm_to_dict(report.best_povm),

@@ -140,13 +140,18 @@ def _check_dims(ens: SignalEnsemble, povm: Povm) -> None:
 
 
 def _signal_overlaps(ens: SignalEnsemble, directions: np.ndarray) -> np.ndarray:
-    """p[k, a] = |<v_k|chi_a>|^2 for every signal state k and direction a."""
-    return np.abs(ens.kets.conj() @ directions.T) ** 2
+    """p[..., a, k] = |<v_k|chi_a>|^2 for directions (..., K, d) and every signal state k."""
+    return np.abs(directions @ ens.kets.conj().T) ** 2
 
 
 def _phi_batch(ens: SignalEnsemble, probs: np.ndarray) -> np.ndarray:
-    """Phi output for each probability column: (1/Nd) sum_k p[k, a] P_k."""
-    return np.einsum("ka,kij->aij", probs, ens.state_projectors) / ens.n_states
+    """Phi for each row of real weights p[..., k]: (1/Nd) sum_k p[..., k] P_k, as (..., d, d).
+
+    The one Phi kernel of the package: a single real matmul against the
+    ensemble's precomputed projector rows.
+    """
+    flat = (probs @ ens.phi_rows).view(complex)
+    return flat.reshape(*probs.shape[:-1], ens.dim, ens.dim)
 
 
 def ensemble_map(ens: SignalEnsemble, rho: np.ndarray) -> np.ndarray:
@@ -165,7 +170,7 @@ def ensemble_map(ens: SignalEnsemble, rho: np.ndarray) -> np.ndarray:
     if abs(complex(np.trace(m)).real - 1.0) > 1e-9:
         raise ValueError("input state must have unit trace")
     probs = np.einsum("ki,ij,kj->k", ens.kets.conj(), m, ens.kets).real
-    return _phi_batch(ens, probs[:, None])[0]
+    return _phi_batch(ens, probs)
 
 
 def average_fidelity(ens: SignalEnsemble, povm: Povm, recon: ReconstructionMap) -> float:
@@ -182,8 +187,8 @@ def average_fidelity(ens: SignalEnsemble, povm: Povm, recon: ReconstructionMap) 
         )
     if recon.dim != ens.dim:
         raise DimensionMismatchError(f"reconstruction dim {recon.dim} vs ensemble dim {ens.dim}")
-    p_outcome = povm.weights[None, :] * _signal_overlaps(ens, povm.directions)
-    p_resend = np.einsum("ki,aij,kj->ka", ens.kets.conj(), recon.states, ens.kets).real
+    p_outcome = povm.weights[:, None] * _signal_overlaps(ens, povm.directions)
+    p_resend = np.einsum("ki,aij,kj->ak", ens.kets.conj(), recon.states, ens.kets).real
     return float(np.sum(p_outcome * p_resend)) / ens.n_states
 
 
@@ -224,10 +229,10 @@ def achievable_fidelity(ens: SignalEnsemble, povm: Povm) -> FidelityBreakdown:
 def achievable_fidelity_overlap_form(ens: SignalEnsemble, povm: Povm) -> float:
     """Achievable fidelity via outcome probabilities and overlaps.
 
-    With p[k, a] = Tr(P_k chi_a) and q[k, a] = <eta_a|P_k|eta_a> for the
+    With p[a, k] = Tr(P_k chi_a) and q[a, k] = <eta_a|P_k|eta_a> for the
     optimal resend direction eta_a, the per-outcome factor is
-    sum_k p[k, a] q[k, a] = <eta_a| (Nd Phi(chi_a)) |eta_a>, so the total is
-    (1/Nd) sum_a m_a sum_k p[k, a] q[k, a]. The m_a weighting is forced by
+    sum_k p[a, k] q[a, k] = <eta_a| (Nd Phi(chi_a)) |eta_a>, so the total is
+    (1/Nd) sum_a m_a sum_k p[a, k] q[a, k]. The m_a weighting is forced by
     consistency with the eigenvalue form, since lambda_max(Phi(chi_a)) =
     <eta_a|Phi(chi_a)|eta_a>.
     """
@@ -235,7 +240,7 @@ def achievable_fidelity_overlap_form(ens: SignalEnsemble, povm: Povm) -> float:
     probs = _signal_overlaps(ens, povm.directions)
     _, eta = linalg.batched_top_eig(_phi_batch(ens, probs))
     resend_overlaps = _signal_overlaps(ens, eta)
-    per_outcome = np.sum(probs * resend_overlaps, axis=0)
+    per_outcome = np.sum(probs * resend_overlaps, axis=1)
     return float(np.sum(povm.weights * per_outcome)) / ens.n_states
 
 

@@ -127,13 +127,14 @@ def max_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[float, np
 
 
 def batched_top_eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue and phase-fixed top eigenvector of a (..., d, d) Hermitian stack.
+    """Top eigenvalue and a top eigenvector of a (..., d, d) Hermitian stack.
 
-    Same ordering and phase conventions as herm_eig, evaluated without
-    per-matrix Python overhead. Inputs are trusted to be Hermitian.
+    Evaluated without per-matrix Python overhead; inputs are trusted to be
+    Hermitian. The vectors keep the solver's phases, which are deterministic
+    for fixed input bits: callers that expose a vector apply fix_phases.
     """
     vals, vecs = np.linalg.eigh(matrices)
-    return vals[..., -1], fix_phases(vecs[..., :, -1])
+    return vals[..., -1], vecs[..., :, -1]
 
 
 def projector(vector: np.ndarray) -> np.ndarray:

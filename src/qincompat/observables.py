@@ -49,11 +49,12 @@ class Eigenbasis:
         v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DimensionMismatchError(f"basis vectors must form a square array, got {v.shape}")
+        # written as not (err <= tol) so that NaN amplitudes fail too
         overlaps = np.abs(v.conj() @ v.T) ** 2
-        if np.max(np.abs(overlaps - np.eye(v.shape[0]))) > tol:
+        if not np.max(np.abs(overlaps - np.eye(v.shape[0]))) <= tol:
             raise ValueError(f"basis {self.label!r} is not orthonormal within {tol:g}")
         completeness = v.T @ v.conj()
-        if linalg.frobenius_norm(completeness - np.eye(v.shape[0])) > tol:
+        if not linalg.frobenius_norm(completeness - np.eye(v.shape[0])) <= tol:
             raise ValueError(f"basis {self.label!r} does not resolve the identity within {tol:g}")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -155,6 +156,18 @@ class SignalEnsemble:
         p.setflags(write=False)
         return p
 
+    @cached_property
+    def phi_rows(self) -> np.ndarray:
+        """(N*d, 2*d*d) real rows: P_k / (N*d), complex entries split into (re, im).
+
+        A real probability array p[..., k] times these rows, viewed as
+        complex, is (1/Nd) sum_k p[..., k] P_k flattened: the ensemble map
+        as one real matmul.
+        """
+        rows = (self.state_projectors / self.n_states).reshape(self.n_states, -1).view(float)
+        rows.setflags(write=False)
+        return rows
+
 
 @dataclass(frozen=True)
 class CommutationReport:
@@ -185,43 +198,57 @@ def eigenbasis_of(
     return Eigenbasis(vectors=eig.eigenvectors.T.copy(), label=label)
 
 
+def _commutator_norms(overlaps: np.ndarray) -> np.ndarray:
+    """Largest ||[P_j, Q_l]||_F over the last two axes of c[..., j, l] = |<a_j|b_l>|^2.
+
+    For rank-1 projectors ||[P_j, Q_l]||_F^2 = 2 c (1 - c). The factor 1 - c
+    is taken as the sum of the other overlaps in row j, which is exact for
+    orthonormal bases and, unlike 1.0 - c, keeps its relative accuracy when
+    c rounds to 1: a duplicate from eigenbasis_of reads about 1e-15, not 2e-8.
+    """
+    rest = overlaps @ (1.0 - np.eye(overlaps.shape[-1]))
+    return np.sqrt(2.0 * overlaps * rest).max(axis=(-2, -1))
+
+
 def commutes(a: Eigenbasis, b: Eigenbasis, tol: float = COMMUTATION_TOL) -> CommutationReport:
     """Test whether two eigenbases commute projector-by-projector.
 
     ``commutes`` is true iff every cross commutator [P_j, Q_l] has Frobenius
     norm at most ``tol``; ``common_eigenvector_count`` counts pairs with
-    Tr(P_j Q_l) >= 1 - tol, i.e. shared eigendirections.
+    Tr(P_j Q_l) >= 1 - tol, i.e. shared eigendirections. Both come from the
+    one d x d overlap matrix of the two bases.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch {a.dim} vs {b.dim}")
-    worst = 0.0
-    for p in a.projectors:
-        for q in b.projectors:
-            worst = max(worst, linalg.commutator_norm(p, q))
     overlaps = np.abs(a.vectors.conj() @ b.vectors.T) ** 2
+    worst = float(_commutator_norms(overlaps))
     count = int(np.sum(overlaps >= 1.0 - tol))
     return CommutationReport(
         commutes=worst <= tol,
         common_eigenvector_count=count,
-        commutator_norm=float(worst),
+        commutator_norm=worst,
     )
 
 
-def _greedy_subset(members, order, tol: float) -> list[int]:
+def _commutation_matrix(obs: ObservableSet, tol: float) -> np.ndarray:
+    """(N, N) booleans: entry (i, j) is commutes(members[i], members[j], tol).commutes."""
+    n, d = obs.count, obs.dim
+    kets = np.concatenate([b.vectors for b in obs.members])
+    overlaps = (np.abs(kets.conj() @ kets.T) ** 2).reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    return _commutator_norms(overlaps) <= tol
+
+
+def _greedy_subset(commuting: np.ndarray, order) -> list[int]:
     kept: list[int] = []
     for idx in order:
-        if all(not commutes(members[idx], members[k], tol).commutes for k in kept):
+        if not commuting[idx, kept].any():
             kept.append(idx)
     return kept
 
 
-def _covers_excluded(members, kept, tol: float) -> bool:
+def _covers_excluded(commuting: np.ndarray, kept: list[int]) -> bool:
     kept_set = set(kept)
-    return all(
-        any(commutes(members[i], members[k], tol).commutes for k in kept)
-        for i in range(len(members))
-        if i not in kept_set
-    )
+    return all(commuting[i, kept].any() for i in range(len(commuting)) if i not in kept_set)
 
 
 def minimal_noncommuting_subset(obs: ObservableSet, tol: float = COMMUTATION_TOL) -> ObservableSet:
@@ -232,14 +259,16 @@ def minimal_noncommuting_subset(obs: ObservableSet, tol: float = COMMUTATION_TOL
     S. If all inputs pairwise commute the subset is a single member. Greedy
     over input order; if the cover property (ii) fails for that order, the
     greedy scan is retried from each rotated start index, and
-    NoValidSubsetError is raised if no start works.
+    NoValidSubsetError is raised if no start works. Every scan reads one
+    N x N commutation matrix built from the overlaps of all members at once.
     """
     members = obs.members
     n = len(members)
+    commuting = _commutation_matrix(obs, tol)
     for start in range(n):
         order = list(range(start, n)) + list(range(start))
-        kept = _greedy_subset(members, order, tol)
-        if _covers_excluded(members, kept, tol):
+        kept = _greedy_subset(commuting, order)
+        if _covers_excluded(commuting, kept):
             return ObservableSet(tuple(members[k] for k in kept))
     raise NoValidSubsetError("no start index yields a subset with both defining properties")
 

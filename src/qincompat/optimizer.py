@@ -23,7 +23,9 @@ Reports are deterministic: restart r draws from a stream seeded by
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +38,15 @@ from .errors import (
     SingularUpdateError,
     WrongDimensionError,
 )
-from .fidelity import Povm, ReconstructionMap, achievable_fidelity, random_povm
+from .fidelity import (
+    COMPLETENESS_TOL,
+    Povm,
+    ReconstructionMap,
+    _phi_batch,
+    _signal_overlaps,
+    achievable_fidelity,
+    random_povm,
+)
 from .observables import (
     ObservableSet,
     SignalEnsemble,
@@ -103,7 +113,9 @@ class FidelitySearch:
 
     ``restart_trace`` lists the converged fidelity of every start in run
     order: the N projective eigenbasis seeds first, then the random
-    restarts. ``iterations`` sums the sweeps over all starts.
+    restarts. ``start_sweeps`` lists the sweeps of every start in the same
+    order (a start at ``max_iters`` stopped at the cap, not by converging),
+    and ``iterations`` is their sum.
     """
 
     fidelity: float
@@ -111,6 +123,7 @@ class FidelitySearch:
     reconstruction: ReconstructionMap
     restart_trace: tuple[float, ...]
     iterations: int
+    start_sweeps: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,7 @@ class IncompatibilityReport:
     fuchs_floor: float
     iterations_used: int
     restart_trace: tuple[float, ...]
+    start_sweeps: tuple[int, ...]
     minimal_subset_labels: tuple[str, ...]
     search_status: str = "best-found-lower-bound"
 
@@ -166,16 +180,139 @@ def fuchs_lower_bound(dim: int) -> float:
     return 2.0 / (dim + 1.0)
 
 
-def _pinv_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix on its numerical support."""
-    vals, vecs = np.linalg.eigh(matrix)
-    top = float(vals[-1])
-    if top <= 0.0:
-        raise SingularUpdateError("measurement update operator has numerical rank 0")
-    inv = np.zeros_like(vals)
+def _pinv_sqrt(matrices: np.ndarray, where: Callable[[int], str] | None = None) -> np.ndarray:
+    """Pseudo-inverse square root of PSD matrices (..., d, d) on their numerical support.
+
+    Raises SingularUpdateError when a matrix has numerical rank 0; for a
+    batch, ``where(i)`` names entry i in the message.
+    """
+    vals, vecs = np.linalg.eigh(matrices)
+    top = vals[..., -1:]
+    singular = np.flatnonzero(top <= 0.0)
+    if singular.size:
+        context = f" ({where(int(singular[0]))})" if where else ""
+        raise SingularUpdateError(f"measurement update operator has numerical rank 0{context}")
     mask = vals > PINV_CUTOFF * top
-    inv[mask] = 1.0 / np.sqrt(vals[mask])
-    return (vecs * inv) @ vecs.conj().T
+    inv = np.where(mask, 1.0 / np.sqrt(np.where(mask, vals, 1.0)), 0.0)
+    return (vecs * inv[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+class _Runs(NamedTuple):
+    """Per-start outcome of a lock-step see-saw batch; strategy arrays hold each start's best sweep."""
+
+    fidelity: np.ndarray
+    sweeps: np.ndarray
+    weights: np.ndarray
+    directions: np.ndarray
+    eta: np.ndarray
+    traces: list[np.ndarray]
+
+
+def _see_saw_batch(
+    ens: SignalEnsemble,
+    weights: np.ndarray,
+    directions: np.ndarray,
+    config: OptimizerConfig,
+) -> _Runs:
+    """Run the see-saw of :func:`see_saw` from B starts at once, in lock step.
+
+    ``weights`` is (B, K) and ``directions`` (B, K, d). An outcome of weight
+    0 is padding or pruned: it adds nothing to the fidelity, the update
+    operator or completeness, and keeps its last direction so that no 0/0
+    enters Phi. A start leaves the active set at its own stopping rule, and
+    every operation acts on each start's rows alone, so each start follows
+    the trajectory and sweep count it would follow on its own. Every check
+    is made per start, and its error names the start and the sweep.
+    """
+    n_starts, dim = weights.shape[0], ens.dim
+    ids = np.arange(n_starts)
+    best_value = np.full(n_starts, -math.inf)
+    best_weights = weights.copy()
+    best_directions = directions.copy()
+    best_eta = np.empty_like(directions)
+    sweeps = np.zeros(n_starts, dtype=int)
+    history: list[tuple[np.ndarray, np.ndarray]] = []
+    previous = None
+
+    def where(i: int) -> str:
+        return f"start {ids[i]}, sweep {sweep}"
+
+    for sweep in range(1, config.max_iters + 1):
+        lam, eta = linalg.batched_top_eig(_phi_batch(ens, _signal_overlaps(ens, directions)))
+        value = np.einsum("sa,sa->s", weights, lam)
+        history.append((ids, value))
+
+        if previous is not None:
+            fell = np.flatnonzero(value < previous - MONOTONE_TOL)
+            if fell.size:
+                i = fell[0]
+                raise NonMonotoneError(
+                    f"fidelity fell from {float(previous[i])!r} to {float(value[i])!r} ({where(i)})"
+                )
+        better = value > best_value[ids]
+        if better.any():
+            at = ids[better]
+            best_value[at] = value[better]
+            best_weights[at] = weights[better]
+            best_directions[at] = directions[better]
+            best_eta[at] = eta[better]
+        if sweep == config.max_iters:
+            sweeps[ids] = sweep
+            break
+        if previous is not None:
+            done = value - previous < config.convergence_eps
+            if done.any():
+                sweeps[ids[done]] = sweep
+                live = ~done
+                if not live.any():
+                    break
+                ids, weights, directions, eta, value = (
+                    ids[live], weights[live], directions[live], eta[live], value[live]
+                )
+        previous = value
+
+        # M_a <- L^(-1/2) G_a M_a G_a L^(-1/2) with G_a = Phi(eta_a), L = sum_a G_a M_a G_a
+        pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
+        update_op = (pulled.swapaxes(1, 2) * weights[:, None, :]) @ pulled.conj()
+        moved = pulled @ _pinv_sqrt(update_op, where).swapaxes(1, 2)
+        norms = np.linalg.norm(moved, axis=2)
+        weights = weights * norms**2
+        keep = weights >= config.weight_prune_eps
+        empty = np.flatnonzero(~keep.any(axis=1))
+        if empty.size:
+            raise SingularUpdateError(
+                f"all outcomes pruned during measurement update ({where(empty[0])})"
+            )
+        weights = np.where(keep, weights, 0.0)
+        directions = np.where(keep[..., None], moved / np.where(keep, norms, 1.0)[..., None], directions)
+        resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
+        lost = np.flatnonzero(np.linalg.norm(resolution - np.eye(dim), axis=(1, 2)) > COMPLETENESS_TOL)
+        if lost.size:
+            raise SingularUpdateError(f"measurement update lost completeness ({where(lost[0])})")
+
+    trace = np.full((len(history), n_starts), np.nan)
+    for row, (active, values) in zip(trace, history):
+        row[active] = values
+    return _Runs(
+        fidelity=best_value,
+        sweeps=sweeps,
+        weights=best_weights,
+        directions=best_directions,
+        eta=best_eta,
+        traces=[trace[: sweeps[s], s].copy() for s in range(n_starts)],
+    )
+
+
+def _strategy(ens: SignalEnsemble, runs: _Runs, start: int) -> tuple[Povm, ReconstructionMap]:
+    """The best measurement and reconstruction of one start, weight-0 outcomes dropped."""
+    kept = runs.weights[start] > 0.0
+    eta = linalg.fix_phases(runs.eta[start][kept])
+    povm = Povm(
+        dim=ens.dim,
+        weights=runs.weights[start][kept],
+        directions=linalg.fix_phases(runs.directions[start][kept]),
+    )
+    return povm, ReconstructionMap(states=eta[:, :, None] * eta.conj()[:, None, :])
 
 
 def see_saw(
@@ -199,71 +336,20 @@ def see_saw(
     a larger decrease raises NonMonotoneError, since the update scheme
     guarantees monotone ascent and any violation signals a numerical bug.
     The returned measurement, reconstruction, and fidelity come from the
-    best evaluated sweep and are mutually consistent.
+    best evaluated sweep and are mutually consistent. This is the batch
+    kernel of :func:`optimal_fidelity` run on a batch of one start.
     """
     if ens.dim != initial.dim:
         raise DimensionMismatchError(f"ensemble dim {ens.dim} vs POVM dim {initial.dim}")
     config = config or OptimizerConfig()
-
-    kets = ens.kets
-    stack = ens.state_projectors
-    weights = initial.weights.copy()
-    directions = initial.directions.copy()
-
-    trace: list[float] = []
-    best_value = -math.inf
-    best_state = None
-    previous = None
-    sweeps = 0
-
-    for sweep in range(1, config.max_iters + 1):
-        sweeps = sweep
-        probs = np.abs(kets.conj() @ directions.T) ** 2
-        phi = np.einsum("ka,kij->aij", probs, stack) / ens.n_states
-        lam, eta = linalg.batched_top_eig(phi)
-        value = float(weights @ lam)
-        trace.append(value)
-
-        if previous is not None and value < previous - MONOTONE_TOL:
-            raise NonMonotoneError(
-                f"fidelity fell from {previous!r} to {value!r} at sweep {sweep}"
-            )
-        if value > best_value:
-            best_value = value
-            best_state = (weights.copy(), directions.copy(), eta.copy())
-        if previous is not None and value - previous < config.convergence_eps:
-            break
-        previous = value
-        if sweep == config.max_iters:
-            break
-
-        resend_probs = np.abs(kets.conj() @ eta.T) ** 2
-        gain_ops = np.einsum("ka,kij->aij", resend_probs, stack) / ens.n_states
-        pulled = np.einsum("aij,aj->ai", gain_ops, directions)
-        update_op = np.einsum("a,ai,aj->ij", weights, pulled, pulled.conj())
-        inv_root = _pinv_sqrt(update_op)
-        moved = pulled @ inv_root.T
-        scales = np.linalg.norm(moved, axis=1) ** 2
-        weights = weights * scales
-        keep = weights >= config.weight_prune_eps
-        if not np.any(keep):
-            raise SingularUpdateError("all outcomes pruned during measurement update")
-        weights = weights[keep]
-        moved = moved[keep]
-        directions = moved / np.linalg.norm(moved, axis=1)[:, None]
-        resolution = np.einsum("a,ai,aj->ij", weights, directions, directions.conj())
-        if linalg.frobenius_norm(resolution - np.eye(ens.dim)) > 1e-9:
-            raise SingularUpdateError("measurement update lost completeness")
-
-    weights, directions, eta = best_state
-    povm = Povm(dim=ens.dim, weights=weights, directions=linalg.fix_phases(directions))
-    recon = ReconstructionMap(states=eta[:, :, None] * eta.conj()[:, None, :])
+    runs = _see_saw_batch(ens, initial.weights[None], initial.directions[None], config)
+    povm, recon = _strategy(ens, runs, 0)
     return SeeSawResult(
         povm=povm,
         reconstruction=recon,
-        fidelity=best_value,
-        iterations=sweeps,
-        fidelity_trace=np.array(trace),
+        fidelity=float(runs.fidelity[0]),
+        iterations=int(runs.sweeps[0]),
+        fidelity_trace=runs.traces[0],
     )
 
 
@@ -272,36 +358,36 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
 
     Starts from each of the N projective eigenbasis measurements, which
     guarantees the (N + d - 1)/(N d) floor, then from ``config.restarts``
-    random POVMs with ``config.n_outcomes(d)`` outcomes. The maximum is a
-    lower bound on the true supremum; ties resolve to the earliest start.
+    random POVMs with ``config.n_outcomes(d)`` outcomes. All starts run in
+    one lock-step batch; the projective ones are padded to that outcome
+    count with weight-0 outcomes. The maximum is a lower bound on the true
+    supremum; ties resolve to the earliest start.
     """
     config = config or OptimizerConfig()
-    n_outcomes = config.n_outcomes(ens.dim)
+    dim, n_bases = ens.dim, ens.n_bases
+    n_outcomes = config.n_outcomes(dim)
 
-    starts: list[Povm] = [
-        Povm(dim=ens.dim, weights=np.ones(ens.dim), directions=ens.vectors[i])
-        for i in range(ens.n_bases)
-    ]
+    weights = np.zeros((n_bases + config.restarts, n_outcomes))
+    directions = np.empty((n_bases + config.restarts, n_outcomes, dim), dtype=complex)
+    weights[:n_bases, :dim] = 1.0
+    directions[:n_bases, :dim] = ens.vectors
+    directions[:n_bases, dim:] = ens.vectors[:, :1]
     for restart in range(config.restarts):
         rng = np.random.default_rng((config.seed, restart))
-        starts.append(random_povm(ens.dim, n_outcomes, rng))
+        povm = random_povm(dim, n_outcomes, rng)
+        weights[n_bases + restart] = povm.weights
+        directions[n_bases + restart] = povm.directions
 
-    best: SeeSawResult | None = None
-    restart_trace: list[float] = []
-    iterations = 0
-    for povm0 in starts:
-        result = see_saw(ens, povm0, config)
-        restart_trace.append(result.fidelity)
-        iterations += result.iterations
-        if best is None or result.fidelity > best.fidelity:
-            best = result
-
+    runs = _see_saw_batch(ens, weights, directions, config)
+    best = int(np.argmax(runs.fidelity))
+    povm, recon = _strategy(ens, runs, best)
     return FidelitySearch(
-        fidelity=best.fidelity,
-        povm=best.povm,
-        reconstruction=best.reconstruction,
-        restart_trace=tuple(restart_trace),
-        iterations=iterations,
+        fidelity=float(runs.fidelity[best]),
+        povm=povm,
+        reconstruction=recon,
+        restart_trace=tuple(float(f) for f in runs.fidelity),
+        iterations=int(np.sum(runs.sweeps)),
+        start_sweeps=tuple(int(n) for n in runs.sweeps),
     )
 
 
@@ -351,15 +437,16 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
         fuchs_floor=fuchs,
         iterations_used=search.iterations,
         restart_trace=search.restart_trace,
+        start_sweeps=search.start_sweeps,
         minimal_subset_labels=subset.labels,
     )
 
 
 def _projective_fidelity_batch(ens: SignalEnsemble, kets: np.ndarray) -> np.ndarray:
     """Achievable fidelity of {P, I - P} for a batch of qubit directions."""
-    probs = np.abs(ens.kets.conj() @ kets.T) ** 2
-    phi_plus = np.einsum("kb,kij->bij", probs, ens.state_projectors) / ens.n_states
-    phi_minus = np.einsum("kb,kij->bij", 1.0 - probs, ens.state_projectors) / ens.n_states
+    probs = _signal_overlaps(ens, kets)
+    phi_plus = _phi_batch(ens, probs)
+    phi_minus = _phi_batch(ens, 1.0 - probs)
     return np.linalg.eigvalsh(phi_plus)[:, -1] + np.linalg.eigvalsh(phi_minus)[:, -1]
 
 

@@ -79,6 +79,19 @@ class TestMeasureCommand:
         }
         # 2 projective starts + 2 random restarts
         assert len(doc["restart_trace"]) == 4
+        assert len(doc["start_sweeps"]) == 4
+        assert sum(doc["start_sweeps"]) == doc["iterations_used"]
+
+    def test_capped_starts_are_noted_on_stderr(self, tmp_path, capsys):
+        path = write_set(tmp_path, "mub32.json", mub_bases(3, 2))
+        code, out, err = run(capsys, "measure", path, "--restarts", "2", "--max-iters", "3")
+        assert code == 0
+        sweeps = json.loads(out)["start_sweeps"]
+        capped = sum(n == 3 for n in sweeps)
+        assert capped >= 1
+        assert err == f"note: {capped} of 4 see-saw starts stopped at --max-iters 3 before converging\n"
+        _, _, err = run(capsys, "measure", path, "--restarts", "2")
+        assert err == ""
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -99,6 +112,16 @@ class TestMeasureCommand:
         code, _, err = run(capsys, "measure", str(path))
         assert code == 2
         assert "Hermitian" in err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_amplitude_exits_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "nan.json"
+        text = json.dumps(basis_document(mub_bases(3, 2)))
+        path.write_text(text.replace("0.0]", f"{bad}]", 1))
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: items[0].vectors: non-finite number\n"
 
     def test_commuting_input_reports_zero(self, tmp_path, capsys):
         z = Eigenbasis(np.eye(2, dtype=complex), label="Z")

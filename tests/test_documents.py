@@ -87,6 +87,17 @@ class TestParseObservableSet:
         with pytest.raises(InputFormatError):
             parse_observable_set(doc)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind,field", [("basis", "vectors"), ("observable", "matrix")])
+    def test_rejects_non_finite(self, bad, kind, field):
+        doc = basis_document(mub_bases(3, 2))
+        if kind == "observable":
+            doc["items"][1] = observable_item(np.diag([1.0, 2.0, 3.0]))
+        doc["items"][1][field][0][1][0] = bad
+        doc = json.loads(json.dumps(doc))  # NaN and Infinity survive the JSON round trip
+        with pytest.raises(InputFormatError, match=rf"items\[1\]\.{field}: non-finite number"):
+            parse_observable_set(doc)
+
     def test_rejects_unknown_type(self):
         with pytest.raises(InputFormatError):
             parse_observable_set({"dim": 2, "items": [{"type": "thing"}]})

@@ -17,6 +17,7 @@ from qincompat import (
     mub_bases,
     signal_ensemble,
 )
+from qincompat.observables import COMMUTATION_TOL
 from conftest import PAULI_X, PAULI_Z, random_basis, rotated_qubit_basis
 
 Z_BASIS = Eigenbasis(np.eye(2, dtype=complex), label="Z")
@@ -65,6 +66,14 @@ class TestEigenbasisValidation:
         with pytest.raises(DimensionMismatchError):
             Eigenbasis(np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        vectors = np.eye(2, dtype=complex)
+        vectors[0, 1] = bad
+        with pytest.raises(ValueError):
+            Eigenbasis(vectors)
+
     def test_projectors_resolve_identity(self, rng):
         basis = random_basis(4, rng)
         np.testing.assert_allclose(basis.projectors.sum(axis=0), np.eye(4), atol=1e-10)
@@ -93,6 +102,20 @@ class TestCommutes:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             commutes(Z_BASIS, split_basis_d3())
+
+    def test_duplicate_from_eigenbasis_of_commutes(self):
+        # the eigensolver returns the basis to about 1e-16; 1.0 - c then
+        # rounds to about 1e-16 and sqrt(2 c (1.0 - c)) exceeds the tolerance
+        basis = mub_bases(3, 2).members[1]
+        spectrum = np.array([2.0, 0.5, -1.0])
+        duplicate = eigenbasis_of((basis.vectors.T * spectrum) @ basis.vectors.conj(), label="dup")
+        c = np.abs(basis.vectors.conj() @ duplicate.vectors.T) ** 2
+        assert np.max(np.sqrt(np.clip(2.0 * c * (1.0 - c), 0.0, None))) > COMMUTATION_TOL
+        report = commutes(basis, duplicate)
+        assert report.commutes
+        assert report.commutator_norm <= 1e-12
+        assert report.common_eigenvector_count == 3
+        assert minimal_noncommuting_subset(ObservableSet((basis, duplicate))).labels == ("mub-1",)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_commuting_pairs_share_a_full_basis(self, seed):

@@ -6,6 +6,7 @@ from qincompat import (
     NotMutuallyUnbiasedError,
     ObservableSet,
     OptimizerConfig,
+    Povm,
     WrongDimensionError,
     achievable_fidelity,
     average_fidelity,
@@ -23,8 +24,65 @@ from qincompat import (
     signal_ensemble,
 )
 from conftest import qubit_fidelity_optimum, random_ensemble, rotated_qubit_basis
+from qincompat.errors import SingularUpdateError
 
 FAST = OptimizerConfig(restarts=4, seed=0)
+
+
+def reference_see_saw(ens, initial, config):
+    """The per-start see-saw loop that the lock-step batch kernel replaced.
+
+    Builds Phi from the (Nd, d, d) projector stack and shrinks the arrays
+    when it prunes. Returns (fidelity, sweeps, outcomes left at the end).
+    """
+    kets = ens.kets
+    stack = ens.state_projectors
+    weights = initial.weights.copy()
+    directions = initial.directions.copy()
+    best_value = -np.inf
+    previous = None
+    sweeps = 0
+    for sweep in range(1, config.max_iters + 1):
+        sweeps = sweep
+        probs = np.abs(kets.conj() @ directions.T) ** 2
+        phi = np.einsum("ka,kij->aij", probs, stack) / ens.n_states
+        vals, vecs = np.linalg.eigh(phi)
+        lam, eta = vals[:, -1], vecs[:, :, -1]
+        value = float(weights @ lam)
+        assert previous is None or value >= previous - 1e-12
+        best_value = max(best_value, value)
+        if previous is not None and value - previous < config.convergence_eps:
+            break
+        previous = value
+        if sweep == config.max_iters:
+            break
+        resend_probs = np.abs(kets.conj() @ eta.T) ** 2
+        gain_ops = np.einsum("ka,kij->aij", resend_probs, stack) / ens.n_states
+        pulled = np.einsum("aij,aj->ai", gain_ops, directions)
+        update_op = np.einsum("a,ai,aj->ij", weights, pulled, pulled.conj())
+        uvals, uvecs = np.linalg.eigh(update_op)
+        inv = np.zeros_like(uvals)
+        mask = uvals > 1e-12 * uvals[-1]
+        inv[mask] = 1.0 / np.sqrt(uvals[mask])
+        moved = pulled @ ((uvecs * inv) @ uvecs.conj().T).T
+        weights = weights * np.linalg.norm(moved, axis=1) ** 2
+        keep = weights >= config.weight_prune_eps
+        assert np.any(keep)
+        weights = weights[keep]
+        moved = moved[keep]
+        directions = moved / np.linalg.norm(moved, axis=1)[:, None]
+        resolution = np.einsum("a,ai,aj->ij", weights, directions, directions.conj())
+        assert np.linalg.norm(resolution - np.eye(ens.dim)) <= 1e-9
+    return best_value, sweeps, weights.shape[0]
+
+
+def search_starts(ens, config):
+    """The starts optimal_fidelity runs, in its order: projective, then random."""
+    starts = [projective_povm(Eigenbasis(v)) for v in ens.vectors]
+    for restart in range(config.restarts):
+        rng = np.random.default_rng((config.seed, restart))
+        starts.append(random_povm(ens.dim, config.n_outcomes(ens.dim), rng))
+    return starts
 
 
 class TestClosedFormBounds:
@@ -79,7 +137,6 @@ class TestOptimizerConfig:
 
 class TestUpdateOperator:
     def test_rank_zero_raises(self):
-        from qincompat.errors import SingularUpdateError
         from qincompat.optimizer import _pinv_sqrt
 
         with pytest.raises(SingularUpdateError):
@@ -91,6 +148,15 @@ class TestUpdateOperator:
         m = np.diag([4.0, 1.0, 0.0]).astype(complex)
         root = _pinv_sqrt(m)
         np.testing.assert_allclose(root, np.diag([0.5, 1.0, 0.0]), atol=1e-14)
+
+    def test_batch_matches_single_and_names_singular_entry(self):
+        from qincompat.optimizer import _pinv_sqrt
+
+        m = np.diag([4.0, 1.0, 0.0]).astype(complex)
+        batch = np.stack([m, 2.0 * m])
+        np.testing.assert_array_equal(_pinv_sqrt(batch)[0], _pinv_sqrt(m))
+        with pytest.raises(SingularUpdateError, match=r"rank 0 \(entry 1\)"):
+            _pinv_sqrt(np.stack([m, np.zeros_like(m)]), lambda i: f"entry {i}")
 
 
 class TestSeeSaw:
@@ -127,6 +193,69 @@ class TestSeeSaw:
         assert abs(achievable_fidelity(ens, result.povm).value - result.fidelity) <= 1e-10
 
 
+class TestBatchedKernel:
+    """The lock-step kernel against the per-start reference loop, start by start."""
+
+    CONFIG = OptimizerConfig(restarts=2, seed=3, max_iters=300)
+
+    @staticmethod
+    def ensembles():
+        rng = np.random.default_rng(7)
+        cases = [random_ensemble(d, n, rng) for d in (2, 3, 4, 5) for n in (2, 3)]
+        return cases + [signal_ensemble(mub_bases(3, 2))]
+
+    def test_every_start_matches_reference_and_runs_alone(self):
+        for ens in self.ensembles():
+            search = optimal_fidelity(ens, self.CONFIG)
+            starts = search_starts(ens, self.CONFIG)
+            assert len(search.start_sweeps) == len(starts)
+            assert search.iterations == sum(search.start_sweeps)
+            for index, start in enumerate(starts):
+                value, sweeps, _ = reference_see_saw(ens, start, self.CONFIG)
+                alone = see_saw(ens, start, self.CONFIG)
+                assert search.start_sweeps[index] == sweeps == alone.iterations
+                assert abs(search.restart_trace[index] - value) <= 1e-12
+                assert abs(alone.fidelity - search.restart_trace[index]) <= 1e-12
+                assert len(alone.fidelity_trace) == sweeps
+
+    def test_pruned_start_matches_reference(self):
+        # a projective start plus one outcome of weight 1e-13, below the
+        # default prune threshold: the first update drops it
+        from qincompat.optimizer import _see_saw_batch
+
+        config = OptimizerConfig(restarts=1, seed=0, max_iters=300)
+        ens = random_ensemble(3, 2, np.random.default_rng(5))
+        tiny = 1e-13
+        start = Povm(
+            dim=3,
+            weights=np.array([1.0 - tiny, 1.0, 1.0, tiny]),
+            directions=np.concatenate([ens.vectors[0], ens.vectors[0][:1]]),
+        )
+        value, sweeps, left = reference_see_saw(ens, start, config)
+        assert left == 3 < start.n_outcomes
+        alone = see_saw(ens, start, config)
+        assert alone.iterations == sweeps
+        assert abs(alone.fidelity - value) <= 1e-12
+        assert alone.povm.n_outcomes == left
+        # in a batch beside a random start, padded to its outcome count
+        mate = search_starts(ens, config)[-1]
+        weights = np.zeros((2, mate.n_outcomes))
+        directions = np.repeat(mate.directions[None], 2, axis=0)
+        weights[0, :4], directions[0, :4] = start.weights, start.directions
+        weights[1] = mate.weights
+        runs = _see_saw_batch(ens, weights, directions, config)
+        assert runs.sweeps[0] == sweeps
+        assert abs(runs.fidelity[0] - value) <= 1e-12
+        mate_value, mate_sweeps, _ = reference_see_saw(ens, mate, config)
+        assert runs.sweeps[1] == mate_sweeps
+        assert abs(runs.fidelity[1] - mate_value) <= 1e-12
+
+    def test_prune_error_names_start_and_sweep(self):
+        ens = signal_ensemble(mub_bases(2, 2))
+        with pytest.raises(SingularUpdateError, match=r"all outcomes pruned .*\(start 0, sweep 1\)"):
+            optimal_fidelity(ens, OptimizerConfig(restarts=1, weight_prune_eps=10.0))
+
+
 class TestOptimalFidelity:
     @pytest.mark.parametrize("dim,count", [(2, 2), (2, 3), (3, 2), (3, 4), (5, 6)])
     def test_unbiased_bases_closed_form(self, dim, count):
@@ -144,6 +273,14 @@ class TestOptimalFidelity:
         search = optimal_fidelity(ens, OptimizerConfig(restarts=3, seed=1))
         assert len(search.restart_trace) == 2 + 3
         assert search.fidelity == max(search.restart_trace)
+        assert len(search.start_sweeps) == 2 + 3
+        assert search.iterations == sum(search.start_sweeps)
+
+    def test_capped_starts_show_in_start_sweeps(self):
+        ens = signal_ensemble(mub_bases(3, 2))
+        search = optimal_fidelity(ens, OptimizerConfig(restarts=2, seed=0, max_iters=5))
+        assert max(search.start_sweeps) == 5
+        assert min(search.start_sweeps) >= 1
 
     def test_shared_eigenvector_pair_optimum(self):
         # the computational measurement attains the exact optimum (d + 2)/(2 d):
