@@ -16,6 +16,7 @@ codes: 0 success, 2 input or validation error, 3 violated bound certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -253,8 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and kept: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BoundViolationError as exc:

@@ -36,9 +36,7 @@ INPUT_BASIS_TOL = 1e-9
 def to_pairs(array: np.ndarray):
     """Nested lists with complex entries expanded to [re, im] pairs."""
     arr = np.asarray(array, dtype=complex)
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [to_pairs(row) for row in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def from_pairs(data, where: str) -> np.ndarray:

@@ -54,6 +54,8 @@ class Povm:
             raise DimensionMismatchError(
                 f"expected weights (K,) and directions (K, {self.dim}), got {w.shape} and {x.shape}"
             )
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(x))):
+            raise ValueError("POVM weights and directions must be finite")
         if np.any(w <= 0):
             raise ValueError("all POVM weights must be strictly positive")
         norms = np.linalg.norm(x, axis=1)
@@ -98,6 +100,8 @@ class ReconstructionMap:
         s = np.array(self.states, dtype=complex)
         if s.ndim != 3 or s.shape[1] != s.shape[2]:
             raise DimensionMismatchError(f"expected (K, d, d) states, got {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("reconstruction states must be finite")
         herm = np.max(np.abs(s - s.conj().transpose(0, 2, 1)))
         if herm > 1e-9:
             raise ValueError("reconstruction states must be Hermitian")
@@ -276,7 +280,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
     """
     if n_outcomes < dim:
         raise ValueError(f"completeness needs at least {dim} rank-1 outcomes, got {n_outcomes}")
-    x = np.stack([linalg.random_unit_vector(dim, rng) for _ in range(n_outcomes)])
+    x = linalg.random_unit_vectors(n_outcomes, dim, rng)
     w = np.einsum("ai,aj->ij", x, x.conj())
     vals, vecs = np.linalg.eigh(w)
     if float(vals[0]) < 1e-12:

@@ -20,6 +20,12 @@ HERMITICITY_TOL = 1e-9
 GRAM_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
+# A warm top eigenpair is accepted when ||Phi y - rho y|| <= WARM_RESIDUAL_TOL * tr Phi
+# and (rho + WARM_CERTIFICATE_SHIFT * tr Phi) I - Phi has a Cholesky factor.
+WARM_RESIDUAL_TOL = 1e-10
+WARM_CERTIFICATE_SHIFT = 1e-13
+# Below this dimension one eigh is cheaper than the warm step and its checks.
+WARM_MIN_DIM = 6
 
 _PHASE_FLOOR = 1e-12
 
@@ -126,15 +132,63 @@ def max_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[float, np
     return float(eig.eigenvalues[0]), eig.eigenvectors[:, 0].copy()
 
 
-def batched_top_eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue and a top eigenvector of a (..., d, d) Hermitian stack.
+def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and a top eigenvector of a (..., d, d) Hermitian PSD stack.
 
     Evaluated without per-matrix Python overhead; inputs are trusted to be
     Hermitian. The vectors keep the solver's phases, which are deterministic
     for fixed input bits: callers that expose a vector apply fix_phases.
+
+    With a ``guess`` (..., d) of unit vectors and d >= WARM_MIN_DIM, the
+    matrices first take one Rayleigh-quotient step from their guesses (see
+    :func:`_warm_top_eig`). A value from that step is the Rayleigh quotient
+    of the returned vector and lies within WARM_CERTIFICATE_SHIFT * tr of
+    the top eigenvalue; matrices whose step fails its checks get eigh's.
     """
+    if guess is not None and matrices.shape[-1] >= WARM_MIN_DIM:
+        warm = _warm_top_eig(matrices, guess)
+        if warm is not None:
+            return warm
+    return _eigh_top(matrices)
+
+
+def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(matrices)
     return vals[..., -1], vecs[..., :, -1]
+
+
+def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """One Rayleigh-quotient step per matrix from ``guess``, certified, with eigh for failing rows.
+
+    sigma = g^dagger A g, y = (A - sigma I)^(-1) g normalized, rho = y^dagger A y.
+    A matrix keeps (rho, y) when ||A y - rho y|| <= WARM_RESIDUAL_TOL * tr A
+    and (rho + WARM_CERTIFICATE_SHIFT * tr A) I - A is positive definite,
+    which its Cholesky factor proves: then rho <= lambda_max < rho + shift *
+    tr A. Matrices that fail the residual go through eigh. Returns None, so
+    that the whole stack goes through eigh, when the Cholesky check fails
+    (a guess near a lower eigenvector converges there) or the solve finds a
+    singular matrix (a guess that is an exact eigenvector).
+    """
+    eye = np.eye(matrices.shape[-1])
+    trace = np.trace(matrices, axis1=-2, axis2=-1).real
+    sigma = (guess.conj()[..., None, :] @ matrices @ guess[..., None])[..., 0, 0].real
+    try:
+        y = np.linalg.solve(matrices - sigma[..., None, None] * eye, guess[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        y = y / np.linalg.norm(y, axis=-1, keepdims=True)
+        image = (matrices @ y[..., None])[..., 0]
+        rho = np.sum(y.conj() * image, axis=-1).real
+        residual = np.linalg.norm(image - rho[..., None] * y, axis=-1)
+    ok = residual <= WARM_RESIDUAL_TOL * trace
+    try:
+        np.linalg.cholesky((rho[ok] + WARM_CERTIFICATE_SHIFT * trace[ok])[:, None, None] * eye - matrices[ok])
+    except np.linalg.LinAlgError:
+        return None
+    if not ok.all():
+        rho[~ok], y[~ok] = _eigh_top(matrices[~ok])
+    return rho, y
 
 
 def projector(vector: np.ndarray) -> np.ndarray:
@@ -162,9 +216,23 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius_norm(ma @ mb - mb @ ma)
 
 
-def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed direction: a normalized vector of complex Gaussians."""
+def random_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim) Haar-distributed directions: rows of normalized complex Gaussians.
+
+    Draws the same stream, and gives the same bits, as ``count`` calls of
+    :func:`random_unit_vector`: each row's norm sums its real and its
+    imaginary squares in separate dot products over the complex array's
+    strided parts, as the 1-d ``np.linalg.norm`` does.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    x = rng.standard_normal((count, 2, dim))
+    z = x[:, 0] + 1j * x[:, 1]
+    re, im = z.real, z.imag
+    squares = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+    return z / np.sqrt(squares)[:, None]
+
+
+def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed direction: a normalized vector of complex Gaussians."""
+    return random_unit_vectors(1, dim, rng)[0]

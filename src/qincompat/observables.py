@@ -115,6 +115,8 @@ class SignalEnsemble:
         v = np.array(self.vectors, dtype=complex)
         if v.ndim != 3 or v.shape[1] != self.dim or v.shape[2] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}, {self.dim}) vectors, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("ensemble states must be finite")
         norms = np.linalg.norm(v, axis=2)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise ValueError("ensemble states must be unit vectors")

@@ -58,6 +58,11 @@ from .observables import (
 MONOTONE_TOL = 1e-12
 BOUND_SLACK = 1e-9
 PINV_CUTOFF = 1e-12
+# Below this dimension an eigensolve of a weight-0 outcome costs less than
+# gathering the live outcomes around it. It must not exceed
+# linalg.WARM_MIN_DIM: a weight-0 outcome's guess can be an exact
+# eigenvector, which makes the warm step's shifted matrix singular.
+GATHER_MIN_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -223,6 +228,11 @@ def _see_saw_batch(
     every operation acts on each start's rows alone, so each start follows
     the trajectory and sweep count it would follow on its own. Every check
     is made per start, and its error names the start and the sweep.
+
+    Top eigenpairs and resend maps are computed for the live (weight > 0)
+    rows only; a dead row keeps its last, finite, resend direction. From
+    sweep 2 on, each live row's resend direction of the previous sweep is
+    the warm-start guess of its top eigenpair.
     """
     n_starts, dim = weights.shape[0], ens.dim
     ids = np.arange(n_starts)
@@ -233,12 +243,21 @@ def _see_saw_batch(
     sweeps = np.zeros(n_starts, dtype=int)
     history: list[tuple[np.ndarray, np.ndarray]] = []
     previous = None
+    eta = directions.copy()
 
     def where(i: int) -> str:
         return f"start {ids[i]}, sweep {sweep}"
 
     for sweep in range(1, config.max_iters + 1):
-        lam, eta = linalg.batched_top_eig(_phi_batch(ens, _signal_overlaps(ens, directions)))
+        live = weights > 0.0
+        gather = dim >= GATHER_MIN_DIM and not live.all()
+        if gather:
+            phi = _phi_batch(ens, _signal_overlaps(ens, directions[live]))
+            lam = np.zeros(weights.shape)
+            lam[live], eta[live] = linalg.batched_top_eig(phi, None if sweep == 1 else eta[live])
+        else:
+            phi = _phi_batch(ens, _signal_overlaps(ens, directions))
+            lam, eta = linalg.batched_top_eig(phi, None if sweep == 1 else eta)
         value = np.einsum("sa,sa->s", weights, lam)
         history.append((ids, value))
 
@@ -263,16 +282,21 @@ def _see_saw_batch(
             done = value - previous < config.convergence_eps
             if done.any():
                 sweeps[ids[done]] = sweep
-                live = ~done
-                if not live.any():
+                going = ~done
+                if not going.any():
                     break
-                ids, weights, directions, eta, value = (
-                    ids[live], weights[live], directions[live], eta[live], value[live]
+                ids, weights, directions, eta, value, live = (
+                    ids[going], weights[going], directions[going], eta[going], value[going], live[going]
                 )
+                gather = gather and not live.all()
         previous = value
 
         # M_a <- L^(-1/2) G_a M_a G_a L^(-1/2) with G_a = Phi(eta_a), L = sum_a G_a M_a G_a
-        pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
+        if gather:
+            pulled = np.zeros_like(directions)
+            pulled[live] = (_phi_batch(ens, _signal_overlaps(ens, eta[live])) @ directions[live][..., None])[..., 0]
+        else:
+            pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
         update_op = (pulled.swapaxes(1, 2) * weights[:, None, :]) @ pulled.conj()
         moved = pulled @ _pinv_sqrt(update_op, where).swapaxes(1, 2)
         norms = np.linalg.norm(moved, axis=2)

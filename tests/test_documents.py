@@ -30,6 +30,33 @@ class TestPairEncoding:
         back = from_pairs(json.loads(json.dumps(to_pairs(m))), "test")
         assert np.array_equal(back, m)
 
+    @staticmethod
+    def recursive_pairs(array):
+        """The per-row encoding that to_pairs replaces."""
+        arr = np.asarray(array, dtype=complex)
+        if arr.ndim == 1:
+            return [[float(z.real), float(z.imag)] for z in arr]
+        return [TestPairEncoding.recursive_pairs(row) for row in arr]
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 3, 3)])
+    def test_same_text_as_recursive_encoding(self, rng, shape):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m.flat[0] = complex(-0.0, 0.0)
+        m.flat[-1] = complex(0.0, -0.0)
+        new, old = to_pairs(m), self.recursive_pairs(m)
+        assert json.dumps(new, indent=2) == json.dumps(old, indent=2)
+        assert all(type(x) is float for x in np.ravel(new).tolist())
+        assert json.dumps(new).startswith("[" * len(shape) + "[-0.0, 0.0]")
+
+    def test_report_text_unchanged(self):
+        report = incompatibility(mub_bases(3, 2), OptimizerConfig(restarts=1, seed=0))
+        doc = incompatibility_report_to_dict(report)
+        states = report.best_reconstruction.states
+        assert doc["best_reconstruction"]["states"] == self.recursive_pairs(states)
+        assert json.dumps(doc["best_reconstruction"], indent=2) == json.dumps(
+            {"states": self.recursive_pairs(states)}, indent=2
+        )
+
     def test_rejects_non_pairs(self):
         with pytest.raises(InputFormatError):
             from_pairs([[1.0, 2.0, 3.0]], "test")

@@ -54,6 +54,16 @@ class TestPovmValidation:
         with pytest.raises(ValueError):
             Povm(dim=2, weights=np.array([1.0, 1.0]), directions=2 * np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("where", ["weights", "directions"])
+    def test_rejects_nan(self, where):
+        weights, directions = np.ones(2), np.eye(2, dtype=complex)
+        if where == "weights":
+            weights[0] = np.nan
+        else:
+            directions[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Povm(dim=2, weights=weights, directions=directions)
+
     def test_random_povm_needs_enough_outcomes(self, rng):
         with pytest.raises(ValueError):
             random_povm(3, 2, rng)
@@ -68,6 +78,12 @@ class TestReconstructionValidation:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             ReconstructionMap(states=np.stack([bad]))
+
+    def test_rejects_nan(self):
+        states = np.stack([np.eye(2, dtype=complex) / 2])
+        states[0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ReconstructionMap(states=states)
 
     def test_accepts_mixed_states(self, rng):
         states = np.stack([random_density(2, rng) for _ in range(3)])

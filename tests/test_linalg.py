@@ -11,6 +11,7 @@ from qincompat import (
     random_unit_vector,
     trace_product,
 )
+from qincompat import linalg
 from conftest import PAULI_X, PAULI_Z, random_hermitian
 
 
@@ -166,3 +167,127 @@ class TestRandomUnitVector:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             random_unit_vector(0, np.random.default_rng(0))
+
+
+def random_psd_stack(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim, dim) PSD matrices of trace 1/dim, the scale of the see-saw's Phi."""
+    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    m = z @ z.conj().swapaxes(1, 2)
+    return m / (dim * np.trace(m, axis1=1, axis2=2).real[:, None, None])
+
+
+def near(vectors: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit vectors a random step of relative size ``scale`` away from ``vectors``."""
+    noise = rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape)
+    moved = vectors + scale * noise
+    return moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+
+
+@pytest.fixture
+def eigh_rows(monkeypatch):
+    """Record how many matrices each np.linalg.eigh call receives."""
+    sizes = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+class TestWarmTopEig:
+    """batched_top_eig with a guess: one certified Rayleigh-quotient step, eigh where it fails."""
+
+    DIM = linalg.WARM_MIN_DIM
+
+    @pytest.mark.parametrize("dim", [linalg.WARM_MIN_DIM, 7, 8])
+    def test_perturbed_guesses_match_eigh(self, dim, eigh_rows):
+        rng = np.random.default_rng(dim)
+        matrices = random_psd_stack(200, dim, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        top_vals, top_vecs = vals[:, -1], vecs[:, :, -1]
+        eigh_rows.clear()
+        lam, eta = linalg.batched_top_eig(matrices, guess=near(top_vecs, 1e-4, rng))
+        # most rows are served by the warm step, not by eigh
+        assert sum(eigh_rows) < 20
+        trace = 1.0 / dim
+        assert np.all(lam <= top_vals + 1e-15)
+        assert np.all(top_vals - lam < linalg.WARM_CERTIFICATE_SHIFT * trace)
+        gap = vals[:, -1] - vals[:, -2]
+        clear = gap > 1e-3 * trace
+        assert clear.sum() > 150
+        overlap = np.abs(np.sum(top_vecs.conj() * eta, axis=1))
+        assert np.all(overlap[clear] >= 1.0 - 1e-12)
+        # the value is the Rayleigh quotient of the returned vector
+        quotient = np.einsum("ai,aij,aj->a", eta.conj(), matrices, eta).real
+        np.testing.assert_allclose(lam, quotient, rtol=0, atol=1e-16)
+
+    def test_second_eigenvector_guess_is_rejected(self):
+        rng = np.random.default_rng(11)
+        matrices = random_psd_stack(5, self.DIM, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        guess = near(vecs[:, :, -1], 1e-5, rng)
+        guess[0] = vecs[0, :, -2]
+        # the step converges to the second eigenpair, which the certificate refuses
+        assert linalg._warm_top_eig(matrices[:1], guess[:1]) is None
+        lam, eta = linalg.batched_top_eig(matrices, guess)
+        assert abs(lam[0] - vals[0, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM
+        assert vals[0, -1] - vals[0, -2] > 1e-3
+        assert abs(np.vdot(vecs[0, :, -1], eta[0])) >= 1.0 - 1e-12
+
+    def test_exact_eigenvector_guess_does_not_raise(self):
+        # an exact eigenvector makes the shifted matrix exactly singular
+        spectrum = np.arange(self.DIM, 0, -1) / (self.DIM * (self.DIM + 1) / 2) / self.DIM
+        matrices = np.stack([np.diag(spectrum).astype(complex)] * 3)
+        lam, eta = linalg.batched_top_eig(matrices, guess=np.eye(self.DIM, dtype=complex)[[0, 0, 0]])
+        np.testing.assert_array_equal(lam, spectrum[0])
+        np.testing.assert_allclose(np.abs(eta[:, 0]), 1.0, atol=1e-15)
+        rng = np.random.default_rng(12)
+        matrices = random_psd_stack(20, self.DIM, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        lam, _ = linalg.batched_top_eig(matrices, guess=vecs[:, :, -1])
+        assert np.all(np.abs(lam - vals[:, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM)
+
+    def test_failing_rows_alone_go_through_eigh(self, eigh_rows):
+        rng = np.random.default_rng(13)
+        matrices = random_psd_stack(30, self.DIM, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        guess = near(vecs[:, :, -1], 1e-6, rng)
+        guess[4] = near(np.zeros(self.DIM, dtype=complex), 1.0, rng)  # a random direction
+        eigh_rows.clear()
+        lam, _ = linalg.batched_top_eig(matrices, guess)
+        assert eigh_rows == [1]
+        assert np.all(np.abs(lam - vals[:, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM)
+
+    def test_below_the_cut_off_runs_eigh(self, eigh_rows):
+        rng = np.random.default_rng(14)
+        dim = linalg.WARM_MIN_DIM - 1
+        matrices = random_psd_stack(10, dim, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        eigh_rows.clear()
+        lam, eta = linalg.batched_top_eig(matrices, guess=vecs[:, :, -1])
+        assert eigh_rows == [10]
+        np.testing.assert_array_equal(lam, vals[:, -1])
+        np.testing.assert_array_equal(eta, vecs[:, :, -1])
+
+
+class TestRandomUnitVectors:
+    @staticmethod
+    def loop(count, dim, rng):
+        """The per-vector draws that random_unit_vectors replaces."""
+        rows = []
+        for _ in range(count):
+            z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            rows.append(z / np.linalg.norm(z))
+        return np.stack(rows)
+
+    def test_same_bits_and_stream_as_one_vector_at_a_time(self):
+        for dim in range(2, 9):
+            for seed in range(50):
+                batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+                a = linalg.random_unit_vectors(dim * dim, dim, batched)
+                b = self.loop(dim * dim, dim, looped)
+                assert np.array_equal(a, b), (dim, seed)
+                assert batched.standard_normal() == looped.standard_normal()

@@ -9,6 +9,7 @@ from qincompat import (
     Eigenbasis,
     NotPrimeError,
     ObservableSet,
+    SignalEnsemble,
     TooManyBasesError,
     commutes,
     eigenbasis_of,
@@ -203,6 +204,12 @@ class TestSignalEnsemble:
         for p in ens.state_projectors:
             assert np.linalg.norm(p @ p - p) < 1e-12
             assert abs(np.trace(p) - 1.0) < 1e-12
+
+    def test_rejects_nan_amplitude(self):
+        vectors = np.stack([Z_BASIS.vectors, X_BASIS.vectors])
+        vectors[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            SignalEnsemble(dim=2, vectors=vectors)
 
     def test_order_is_basis_major(self):
         ens = signal_ensemble(ObservableSet((Z_BASIS, X_BASIS)))

@@ -202,9 +202,22 @@ class TestBatchedKernel:
     def ensembles():
         rng = np.random.default_rng(7)
         cases = [random_ensemble(d, n, rng) for d in (2, 3, 4, 5) for n in (2, 3)]
-        return cases + [signal_ensemble(mub_bases(3, 2))]
+        # d = 6 takes the warm-started eigenpairs from sweep 2 on
+        warm = random_ensemble(6, 2, np.random.default_rng(8))
+        return cases + [signal_ensemble(mub_bases(3, 2)), warm]
 
-    def test_every_start_matches_reference_and_runs_alone(self):
+    def test_every_start_matches_reference_and_runs_alone(self, monkeypatch):
+        from qincompat import linalg
+
+        accepted = []
+        warm_top_eig = linalg._warm_top_eig
+
+        def counted(matrices, guess):
+            result = warm_top_eig(matrices, guess)
+            accepted.append(result is not None)
+            return result
+
+        monkeypatch.setattr(linalg, "_warm_top_eig", counted)
         for ens in self.ensembles():
             search = optimal_fidelity(ens, self.CONFIG)
             starts = search_starts(ens, self.CONFIG)
@@ -217,6 +230,7 @@ class TestBatchedKernel:
                 assert abs(search.restart_trace[index] - value) <= 1e-12
                 assert abs(alone.fidelity - search.restart_trace[index]) <= 1e-12
                 assert len(alone.fidelity_trace) == sweeps
+        assert sum(accepted) > 100
 
     def test_pruned_start_matches_reference(self):
         # a projective start plus one outcome of weight 1e-13, below the
