@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -84,7 +83,7 @@ def _emit(doc: dict, args: argparse.Namespace, out: str | None = None) -> None:
         row = ",".join(repr(v) if isinstance(v, float) else str(v) for v in flat.values())
         text = header + "\n" + row + "\n"
     else:
-        text = json.dumps(doc, indent=2) + "\n"
+        text = documents.dumps(doc) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -122,8 +121,7 @@ def _run_mub(args: argparse.Namespace) -> int:
         raise QincompatError("constructed bases failed the unbiasedness self-check")
     basis_doc = documents.basis_document(obs)
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(basis_doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(documents.dumps(basis_doc) + "\n")
     doc = {
         "command": "mub",
         "dim": args.dim,

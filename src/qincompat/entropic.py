@@ -82,12 +82,9 @@ def entropic_report(
     config: OptimizerConfig | None = None,
 ) -> EntropicReport:
     """Evaluate the entropic bound for a pair and compare it to the measure."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch {a.dim} vs {b.dim}")
+    c, bound = maassen_uffink_bound(a, b)
     pair = commutes(a, b)
     overlaps = np.abs(a.vectors.conj() @ b.vectors.T)
-    c = min(float(np.max(overlaps)), 1.0)
-    bound = float(-np.log2(c)) + 0.0
     # first maximal pair in row-major order; for c = 1 this is a shared eigenvector
     _, witness_index = np.unravel_index(int(np.argmax(overlaps)), overlaps.shape)
     witness = b.vectors[witness_index].copy()

@@ -83,12 +83,6 @@ class Povm:
             for m, chi in zip(self.weights, self.directions)
         ]
 
-    def elements(self) -> np.ndarray:
-        """(K, d, d) stack of the POVM elements m_a |chi_a><chi_a|."""
-        return self.weights[:, None, None] * (
-            self.directions[:, :, None] * self.directions.conj()[:, None, :]
-        )
-
 
 @dataclass(frozen=True)
 class ReconstructionMap:

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from qincompat import documents
 from qincompat.cli import main
 from qincompat.documents import basis_document, to_pairs
 from qincompat.entropic import shared_eigenvector_pair
 from qincompat.errors import BoundViolationError
 from qincompat.observables import Eigenbasis, ObservableSet, mub_bases
+from conftest import random_basis
 
 
 def write_zx(tmp_path):
@@ -161,6 +163,14 @@ class TestMubCommand:
         assert code == 2
         assert "prime" in err
 
+    @pytest.mark.parametrize("dim, n_bases", [(2, 3), (3, 4), (5, 2), (7, 8)])
+    def test_file_is_the_json_text_of_the_basis_document(self, tmp_path, capsys, dim, n_bases):
+        target = tmp_path / "bases.json"
+        code, _, _ = run(capsys, "mub", str(dim), str(n_bases), "--out", str(target))
+        assert code == 0
+        expected = json.dumps(basis_document(mub_bases(dim, n_bases)), indent=2) + "\n"
+        assert target.read_bytes() == expected.encode("ascii")
+
     def test_too_many_bases_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "mub", "3", "5", "--out", str(tmp_path / "x.json"))
         assert code == 2
@@ -260,3 +270,67 @@ class TestDeterminism:
             doc.pop("wall_time_s")
             docs.append(doc)
         assert docs[0] == docs[1]
+
+
+class TestReportBytes:
+    """Each JSON report is the text of ``json.dumps(report, indent=2)``, byte for byte."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        docs = []
+        encode = documents.dumps
+
+        def capture(obj):
+            docs.append(obj)
+            return encode(obj)
+
+        monkeypatch.setattr(documents, "dumps", capture)
+        return docs
+
+    @staticmethod
+    def json_text(doc):
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "dim, n_bases, seed, outcomes",
+        [
+            (3, 2, 0, 3),  # a projective start is best: d outcomes
+            (5, 2, 0, 5),
+            (7, 2, 0, 7),
+            (3, 4, 2, 9),  # a random start is best: d^2 outcomes
+            (5, 6, 0, 25),
+            (7, 8, 0, 49),
+        ],
+    )
+    def test_measure_on_unbiased_sets(self, tmp_path, capsys, emitted, dim, n_bases, seed, outcomes):
+        path = write_set(tmp_path, "mub.json", mub_bases(dim, n_bases))
+        target = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "measure", path, "--restarts", "2", "--seed", str(seed), "--out", str(target)
+        )
+        assert code == 0
+        [doc] = emitted
+        assert len(doc["best_povm"]["weights"]) == outcomes
+        assert target.read_bytes() == self.json_text(doc).encode("ascii")
+
+    def test_measure_on_random_set(self, tmp_path, capsys, emitted, rng):
+        obs = ObservableSet(tuple(random_basis(4, rng, f"r{i}") for i in range(2)))
+        code, out, _ = run(capsys, "measure", write_set(tmp_path, "r4.json", obs), "--restarts", "2")
+        assert code == 0
+        [doc] = emitted
+        assert out == self.json_text(doc)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "3", "2"),
+            ("entropic", "SHARED", "--restarts", "2"),
+            ("verify", "--suite", "map-contracts", "--samples", "5"),
+        ],
+    )
+    def test_other_reports(self, tmp_path, capsys, emitted, argv):
+        shared = write_set(tmp_path, "shared.json", ObservableSet(shared_eigenvector_pair(3)))
+        code, out, _ = run(capsys, *(shared if arg == "SHARED" else arg for arg in argv))
+        assert code == 0
+        [doc] = emitted
+        assert out == self.json_text(doc)

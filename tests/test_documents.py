@@ -1,11 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from qincompat import DegenerateSpectrumError, InputFormatError, mub_bases
 from qincompat.documents import (
     basis_document,
+    dumps,
     from_pairs,
     incompatibility_report_to_dict,
     load_document,
@@ -157,3 +162,44 @@ class TestReportSerialization:
         assert np.array_equal(weights, report.best_povm.weights)
         directions = from_pairs(recovered["best_povm"]["directions"], "povm")
         assert np.array_equal(directions, report.best_povm.directions)
+
+
+# Floats whose text json writes in a special way, or that sit at a repr boundary.
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+SCALARS = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans(), st.none(), st.text())
+FLOAT_ARRAYS = npst.arrays(
+    np.float64, npst.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3), elements=FLOATS
+).map(np.ndarray.tolist)
+JSON_VALUES = st.recursive(
+    SCALARS | FLOAT_ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    """``dumps`` writes exactly the bytes of ``json.dumps(obj, indent=2)``."""
+
+    @given(JSON_VALUES)
+    @example([EDGE_FLOATS, [[x, -x] for x in EDGE_FLOATS]])
+    @example([[np.float64(0.1), np.float64(-0.0)], [np.float64(1e300), 2.5]])
+    @example([[1.0, True], [0.5, False]])
+    @example([[1, 2.0], [3.5, 4]])
+    @example([[1.0, 2.0], [3.0], [], [[]], {}, [{}]])
+    @example({"caf\u00e9\x00\x1f\"\\\n\u2028\U0001f600": ["\x7f\ud800", ""]})
+    @example((1.0, (2.0, 3.0), [4.0, 5.0]))
+    def test_same_text_as_json(self, value):
+        assert dumps(value) == json.dumps(value, indent=2)
+
+    def test_non_string_keys_go_to_json(self):
+        value = {1: 0.5, 2.5: [1.0, 2.0], None: {}, True: "t"}
+        assert dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{"a": [np.int64(1)]}, [np.bool_(True)], {"a": object()}])
+    def test_other_types_raise_as_in_json(self, value):
+        with pytest.raises(TypeError) as ours:
+            dumps(value)
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(value, indent=2)
+        assert str(ours.value) == str(stdlib.value)
