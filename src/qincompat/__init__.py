@@ -11,7 +11,9 @@ blind), and maximal for mutually unbiased bases, where it equals
 
 Entry points: :func:`incompatibility` for the measure with bound
 certificates, :func:`entropic_report` for the comparison against the
-entropy bound, and the ``qincompat`` command-line tool.
+entropy bound, and the ``qincompat`` command-line tool. The package exports
+only these and the types they take and return; everything else is imported
+from its submodule (``qincompat.fidelity``, ``qincompat.linalg``, ...).
 """
 
 __version__ = "0.1.0"
@@ -21,136 +23,27 @@ from .entropic import (
     Verdict,
     entropic_failure_demo,
     entropic_report,
-    maassen_uffink_bound,
-    measurement_entropy,
     shared_eigenvector_pair,
 )
-from .errors import (
-    BoundViolationError,
-    ConvergenceError,
-    DegenerateSpectrumError,
-    DimensionMismatchError,
-    InputFormatError,
-    NonMonotoneError,
-    NotHermitianError,
-    NotMutuallyUnbiasedError,
-    NotPrimeError,
-    NoValidSubsetError,
-    OutcomeCountMismatchError,
-    QincompatError,
-    SingularUpdateError,
-    TooManyBasesError,
-    WrongDimensionError,
-)
-from .fidelity import (
-    FidelityBreakdown,
-    Povm,
-    ReconstructionMap,
-    achievable_fidelity,
-    achievable_fidelity_overlap_form,
-    average_fidelity,
-    ensemble_map,
-    optimal_reconstruction,
-    projective_povm,
-    projective_strategy_fidelity,
-    random_povm,
-)
-from .linalg import (
-    EigenDecomposition,
-    commutator_norm,
-    herm_eig,
-    max_eig,
-    projector,
-    random_unit_vector,
-    trace_product,
-)
-from .observables import (
-    CommutationReport,
-    Eigenbasis,
-    ObservableSet,
-    SignalEnsemble,
-    commutes,
-    eigenbasis_of,
-    is_mutually_unbiased,
-    minimal_noncommuting_subset,
-    mub_bases,
-    signal_ensemble,
-)
-from .optimizer import (
-    FidelitySearch,
-    IncompatibilityReport,
-    OptimizerConfig,
-    SeeSawResult,
-    collision_probability_sum,
-    fuchs_lower_bound,
-    incompatibility,
-    optimal_fidelity,
-    q_upper_bounds,
-    qubit_grid_oracle,
-    see_saw,
-)
+from .errors import BoundViolationError, InputFormatError, QincompatError
+from .observables import Eigenbasis, ObservableSet, eigenbasis_of, mub_bases
+from .optimizer import IncompatibilityReport, OptimizerConfig, incompatibility
 
 __all__ = [
     "__version__",
-    "BoundViolationError",
-    "CommutationReport",
-    "ConvergenceError",
-    "DegenerateSpectrumError",
-    "DimensionMismatchError",
-    "EigenDecomposition",
-    "Eigenbasis",
-    "EntropicReport",
-    "FidelityBreakdown",
-    "FidelitySearch",
-    "IncompatibilityReport",
-    "InputFormatError",
-    "NonMonotoneError",
-    "NotHermitianError",
-    "NotMutuallyUnbiasedError",
-    "NotPrimeError",
-    "NoValidSubsetError",
-    "ObservableSet",
-    "OptimizerConfig",
-    "OutcomeCountMismatchError",
-    "Povm",
-    "QincompatError",
-    "ReconstructionMap",
-    "SeeSawResult",
-    "SignalEnsemble",
-    "SingularUpdateError",
-    "TooManyBasesError",
-    "Verdict",
-    "WrongDimensionError",
-    "achievable_fidelity",
-    "achievable_fidelity_overlap_form",
-    "average_fidelity",
-    "collision_probability_sum",
-    "commutator_norm",
-    "commutes",
-    "eigenbasis_of",
-    "ensemble_map",
-    "entropic_failure_demo",
-    "entropic_report",
-    "fuchs_lower_bound",
-    "herm_eig",
     "incompatibility",
-    "is_mutually_unbiased",
-    "maassen_uffink_bound",
-    "max_eig",
-    "measurement_entropy",
-    "minimal_noncommuting_subset",
+    "IncompatibilityReport",
+    "OptimizerConfig",
+    "ObservableSet",
+    "Eigenbasis",
+    "eigenbasis_of",
     "mub_bases",
-    "optimal_fidelity",
-    "optimal_reconstruction",
-    "projective_povm",
-    "projective_strategy_fidelity",
-    "projector",
-    "q_upper_bounds",
-    "qubit_grid_oracle",
-    "random_povm",
-    "random_unit_vector",
-    "see_saw",
+    "entropic_report",
+    "EntropicReport",
+    "Verdict",
+    "entropic_failure_demo",
     "shared_eigenvector_pair",
-    "signal_ensemble",
-    "trace_product",
+    "QincompatError",
+    "InputFormatError",
+    "BoundViolationError",
 ]

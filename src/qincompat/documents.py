@@ -181,6 +181,8 @@ def load_document(path: str) -> dict:
             text = handle.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -49,10 +49,6 @@ class SingularUpdateError(QincompatError):
     """The measurement update operator lost rank and cannot continue."""
 
 
-class WrongDimensionError(QincompatError):
-    """Operation is only defined for a specific Hilbert-space dimension."""
-
-
 class BoundViolationError(QincompatError):
     """A computed value violated a certified bound; internal bug guard."""
 

@@ -21,7 +21,6 @@ holds them to 1e-10 of each other on randomized inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,14 +74,6 @@ class Povm:
     def n_outcomes(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def outcomes(self) -> list[tuple[float, np.ndarray]]:
-        """List of (weight, rank-1 projector) pairs."""
-        return [
-            (float(m), np.outer(chi, chi.conj()))
-            for m, chi in zip(self.weights, self.directions)
-        ]
-
 
 @dataclass(frozen=True)
 class ReconstructionMap:
@@ -115,21 +106,6 @@ class ReconstructionMap:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-
-class OutcomeTerm(NamedTuple):
-    index: int
-    weight: float
-    top_eigenvalue: float
-    contribution: float
-
-
-@dataclass(frozen=True)
-class FidelityBreakdown:
-    """Achievable fidelity of a measurement with its per-outcome terms."""
-
-    value: float
-    per_outcome: tuple[OutcomeTerm, ...]
 
 
 def _check_dims(ens: SignalEnsemble, povm: Povm) -> None:
@@ -204,24 +180,15 @@ def optimal_reconstruction(ens: SignalEnsemble, povm: Povm) -> ReconstructionMap
     return ReconstructionMap(states=eta[:, :, None] * eta.conj()[:, None, :])
 
 
-def achievable_fidelity(ens: SignalEnsemble, povm: Povm) -> FidelityBreakdown:
+def achievable_fidelity(ens: SignalEnsemble, povm: Povm) -> float:
     """Fidelity of a measurement under its optimal reconstruction.
 
     Eigenvalue form: sum over outcomes of m_a * lambda_max(Phi(chi_a)).
-    Terms are accumulated in outcome-index order, so the value is
-    deterministic and equals the sum of the reported contributions.
     """
     _check_dims(ens, povm)
     phi = _phi_batch(ens, _signal_overlaps(ens, povm.directions))
     lam = np.linalg.eigvalsh(phi)[:, -1]
-    contributions = povm.weights * lam
-    return FidelityBreakdown(
-        value=float(np.sum(contributions)),
-        per_outcome=tuple(
-            OutcomeTerm(a, float(povm.weights[a]), float(lam[a]), float(contributions[a]))
-            for a in range(povm.n_outcomes)
-        ),
-    )
+    return float(np.sum(povm.weights * lam))
 
 
 def achievable_fidelity_overlap_form(ens: SignalEnsemble, povm: Povm) -> float:

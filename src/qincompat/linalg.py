@@ -123,15 +123,6 @@ def herm_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposi
     return eig
 
 
-def max_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a Hermitian matrix and a unit eigenvector for it.
-
-    Ties at the top are resolved by herm_eig's deterministic ordering.
-    """
-    eig = herm_eig(matrix, tol)
-    return float(eig.eigenvalues[0]), eig.eigenvectors[:, 0].copy()
-
-
 def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and a top eigenvector of a (..., d, d) Hermitian PSD stack.
 
@@ -198,22 +189,6 @@ def projector(vector: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"projector requires a unit vector, got norm {norm!r}")
     return np.outer(v, v.conj())
-
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(AB). Real up to roundoff when both inputs are Hermitian."""
-    ma, mb = _as_square(a), _as_square(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return complex(np.einsum("ij,ji->", ma, mb))
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """||AB - BA||_F."""
-    ma, mb = _as_square(a), _as_square(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return frobenius_norm(ma @ mb - mb @ ma)
 
 
 def random_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

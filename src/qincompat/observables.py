@@ -36,9 +36,9 @@ class Eigenbasis:
     """An orthonormal basis, i.e. the eigenprojector list of one observable.
 
     ``vectors`` is a (d, d) complex array whose row j is the j-th basis
-    vector; ``projectors[j]`` is the rank-1 projector onto it. Rows are
-    validated to be orthonormal on construction (Gram deviation and
-    resolution of identity both within ``tol``) and stored read-only.
+    vector. Rows are validated to be orthonormal on construction (Gram
+    deviation and resolution of identity both within ``tol``) and stored
+    read-only.
     """
 
     vectors: np.ndarray
@@ -62,13 +62,6 @@ class Eigenbasis:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    @cached_property
-    def projectors(self) -> np.ndarray:
-        """(d, d, d) stack; entry j is |v_j><v_j|."""
-        p = self.vectors[:, :, None] * self.vectors.conj()[:, None, :]
-        p.setflags(write=False)
-        return p
 
 
 @dataclass(frozen=True)
@@ -132,11 +125,6 @@ class SignalEnsemble:
     def n_states(self) -> int:
         return self.vectors.shape[0] * self.dim
 
-    @property
-    def prior(self) -> float:
-        """Common prior of every state; exactly 1/(N*d) by construction."""
-        return 1.0 / self.n_states
-
     @cached_property
     def kets(self) -> np.ndarray:
         """(N*d, d) flat view of the state amplitudes, basis-major order."""
@@ -145,16 +133,9 @@ class SignalEnsemble:
         return k
 
     @cached_property
-    def states(self) -> np.ndarray:
-        """(N, d, d, d) array of rank-1 projectors onto the ensemble states."""
-        p = self.vectors[:, :, :, None] * self.vectors.conj()[:, :, None, :]
-        p.setflags(write=False)
-        return p
-
-    @cached_property
     def state_projectors(self) -> np.ndarray:
-        """(N*d, d, d) flat stack of the same projectors."""
-        p = self.states.reshape(self.n_states, self.dim, self.dim)
+        """(N*d, d, d) stack of the rank-1 projectors onto the states, in ``kets`` order."""
+        p = self.kets[:, :, None] * self.kets.conj()[:, None, :]
         p.setflags(write=False)
         return p
 

@@ -36,7 +36,6 @@ from .errors import (
     NonMonotoneError,
     NotMutuallyUnbiasedError,
     SingularUpdateError,
-    WrongDimensionError,
 )
 from .fidelity import (
     COMPLETENESS_TOL,
@@ -44,7 +43,6 @@ from .fidelity import (
     ReconstructionMap,
     _phi_batch,
     _signal_overlaps,
-    achievable_fidelity,
     random_povm,
 )
 from .observables import (
@@ -87,12 +85,12 @@ class OptimizerConfig:
             raise ValueError("outcomes must be positive when given")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.convergence_eps <= 0:
-            raise ValueError("convergence_eps must be positive")
+        if not (math.isfinite(self.convergence_eps) and self.convergence_eps > 0):
+            raise ValueError(f"convergence_eps must be positive and finite, got {self.convergence_eps!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.weight_prune_eps <= 0:
-            raise ValueError("weight_prune_eps must be positive")
+        if not (math.isfinite(self.weight_prune_eps) and self.weight_prune_eps > 0):
+            raise ValueError(f"weight_prune_eps must be positive and finite, got {self.weight_prune_eps!r}")
 
     def n_outcomes(self, dim: int) -> int:
         k = self.outcomes if self.outcomes is not None else dim * dim
@@ -464,58 +462,6 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
         start_sweeps=search.start_sweeps,
         minimal_subset_labels=subset.labels,
     )
-
-
-def _projective_fidelity_batch(ens: SignalEnsemble, kets: np.ndarray) -> np.ndarray:
-    """Achievable fidelity of {P, I - P} for a batch of qubit directions."""
-    probs = _signal_overlaps(ens, kets)
-    phi_plus = _phi_batch(ens, probs)
-    phi_minus = _phi_batch(ens, 1.0 - probs)
-    return np.linalg.eigvalsh(phi_plus)[:, -1] + np.linalg.eigvalsh(phi_minus)[:, -1]
-
-
-def qubit_grid_oracle(ens: SignalEnsemble, resolution: int = 180) -> float:
-    """Brute-force maximum fidelity over projective qubit measurements.
-
-    Scans polar angles on a resolution x resolution sphere grid, then
-    refines around the best point three times, shrinking the window by 10
-    at each level. Independent of the see-saw path; used to certify it on
-    qubit inputs.
-    """
-    if ens.dim != 2:
-        raise WrongDimensionError("the grid oracle only covers dimension 2")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-
-    thetas = np.linspace(0.0, np.pi, resolution)
-    phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
-    flat_t, flat_p = grid_t.ravel(), grid_p.ravel()
-
-    def kets_of(t, p):
-        return np.stack([np.cos(t / 2.0), np.sin(t / 2.0) * np.exp(1j * p)], axis=1)
-
-    values = _projective_fidelity_batch(ens, kets_of(flat_t, flat_p))
-    at = int(np.argmax(values))
-    best_t, best_p = float(flat_t[at]), float(flat_p[at])
-
-    window_t = np.pi / (resolution - 1)
-    window_p = 2.0 * np.pi / resolution
-    for _ in range(3):
-        sub_t = np.linspace(best_t - window_t, best_t + window_t, 21)
-        sub_p = np.linspace(best_p - window_p, best_p + window_p, 21)
-        st, sp = np.meshgrid(sub_t, sub_p, indexing="ij")
-        st, sp = st.ravel(), sp.ravel()
-        sub_values = _projective_fidelity_batch(ens, kets_of(st, sp))
-        at = int(np.argmax(sub_values))
-        best_t, best_p = float(st[at]), float(sp[at])
-        window_t /= 10.0
-        window_p /= 10.0
-
-    top = np.array([np.cos(best_t / 2.0), np.sin(best_t / 2.0) * np.exp(1j * best_p)])
-    orth = np.array([-np.conj(top[1]), np.conj(top[0])])
-    best_povm = Povm(dim=2, weights=np.ones(2), directions=np.stack([top, orth]))
-    return achievable_fidelity(ens, best_povm).value
 
 
 def collision_probability_sum(

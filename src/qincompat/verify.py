@@ -111,7 +111,7 @@ def fidelity_consistency_suite(samples: int = 200, seed: int = 0) -> SuiteResult
         ens = _random_ensemble(dim, count, rng)
         povm = random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
 
-        eig_form = achievable_fidelity(ens, povm).value
+        eig_form = achievable_fidelity(ens, povm)
         overlap_form = achievable_fidelity_overlap_form(ens, povm)
         explicit = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))
         gap = max(abs(eig_form - overlap_form), abs(eig_form - explicit))

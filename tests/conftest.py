@@ -1,11 +1,15 @@
 """Shared helpers for the test suite.
 
-The qubit helpers give an independent closed form for the best projective
-fidelity of a qubit ensemble: writing each signal projector through its
-Bloch axis u_k, the achievable fidelity of the measurement along axis n is
+The qubit helpers give an independent closed form for the optimal fidelity
+of a qubit ensemble: writing each signal projector through its Bloch axis
+u_k, the achievable fidelity of the measurement along axis n is
 1/2 + |K n| / (2 n_states) with K the sum of outer products of the axes, so
-the optimum is 1/2 + lambda_max(K) / (2 n_states). This never touches the
-library's fidelity or optimizer code paths.
+the best projective value is 1/2 + lambda_max(K) / (2 n_states). Each basis's
+axes sum to zero, so a POVM {m_a, n_a} resending along r_a scores
+1/2 + sum_a m_a n_a^T K r_a / (4 n_states) <= 1/2 + lambda_max(K) / (2 n_states)
+(the weights sum to 2): the closed form is the exact optimum over all
+measurements. This never touches the library's fidelity or optimizer code
+paths.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qincompat import Eigenbasis, ObservableSet, SignalEnsemble, eigenbasis_of
+from qincompat.observables import Eigenbasis, ObservableSet, SignalEnsemble, eigenbasis_of, signal_ensemble
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -37,8 +41,6 @@ def random_basis(dim: int, rng: np.random.Generator, label: str = "") -> Eigenba
 
 
 def random_ensemble(dim: int, count: int, rng: np.random.Generator) -> SignalEnsemble:
-    from qincompat import signal_ensemble
-
     obs = ObservableSet(tuple(random_basis(dim, rng, f"r{i}") for i in range(count)))
     return signal_ensemble(obs)
 

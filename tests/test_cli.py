@@ -102,6 +102,21 @@ class TestMeasureCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text (")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, tmp_path, capsys, tol):
+        code, out, err = run(capsys, "measure", write_zx(tmp_path), "--tol", tol, "--max-iters", "50")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: convergence_eps must be positive and finite, got {tol}\n"
+
     def test_non_hermitian_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         doc = {

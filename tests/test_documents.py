@@ -7,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from qincompat import DegenerateSpectrumError, InputFormatError, mub_bases
+from qincompat import InputFormatError, mub_bases
+from qincompat.errors import DegenerateSpectrumError
 from qincompat.documents import (
     basis_document,
     dumps,

@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from qincompat import (
-    DimensionMismatchError,
     Eigenbasis,
+    ObservableSet,
     OptimizerConfig,
     Verdict,
-    commutes,
     entropic_failure_demo,
     entropic_report,
-    maassen_uffink_bound,
-    measurement_entropy,
     mub_bases,
-    projector,
     shared_eigenvector_pair,
 )
-from conftest import random_basis, random_density
+from qincompat.entropic import maassen_uffink_bound, measurement_entropy
+from qincompat.errors import DimensionMismatchError
+from qincompat.linalg import projector
+from qincompat.observables import commutes, signal_ensemble
+from conftest import qubit_fidelity_optimum, random_basis, random_density
 
 FAST = OptimizerConfig(restarts=4, seed=0)
 
@@ -131,18 +131,16 @@ class TestFailureDemo:
 
     def test_qubit_subspace_oracle_reconstructs_the_value(self):
         # the pair acts as a perfect channel on the shared axis plus an
-        # unbiased qubit pair on span{e_1, e_2}; stitching the grid-oracle
+        # unbiased qubit pair on span{e_1, e_2}; stitching the exact qubit
         # optimum of that sub-ensemble into the block structure must land
         # on the demo's fidelity
-        from qincompat import ObservableSet, qubit_grid_oracle, signal_ensemble
-
         a, b = shared_eigenvector_pair(3)
         sub_a = Eigenbasis(a.vectors[1:, 1:].copy(), label="sub-comp")
         sub_b = Eigenbasis(b.vectors[1:, 1:].copy(), label="sub-fourier")
-        sub_optimum = qubit_grid_oracle(signal_ensemble(ObservableSet((sub_a, sub_b))), 180)
+        sub_optimum = qubit_fidelity_optimum(signal_ensemble(ObservableSet((sub_a, sub_b))))
         stitched = (2.0 * 1.0 + 4.0 * sub_optimum) / 6.0
         report = entropic_failure_demo(3, FAST)
-        assert 1.0 - report.incompatibility == pytest.approx(stitched, abs=1e-4)
+        assert abs(1.0 - report.incompatibility - stitched) <= 1e-9
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):

@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
-from qincompat import (
-    DimensionMismatchError,
-    ObservableSet,
-    OutcomeCountMismatchError,
+from qincompat import ObservableSet, mub_bases
+from qincompat.errors import DimensionMismatchError, OutcomeCountMismatchError
+from qincompat.fidelity import (
     Povm,
     ReconstructionMap,
     achievable_fidelity,
     achievable_fidelity_overlap_form,
     average_fidelity,
     ensemble_map,
-    mub_bases,
     optimal_reconstruction,
     projective_povm,
     projective_strategy_fidelity,
     random_povm,
-    signal_ensemble,
 )
+from qincompat.observables import signal_ensemble
 from conftest import random_density, random_ensemble, rotated_qubit_basis
 
 ZX_ENSEMBLE = signal_ensemble(mub_bases(2, 2))
@@ -35,7 +33,8 @@ class TestPovmValidation:
     def test_projective_is_valid(self):
         povm = projective_povm(mub_bases(3, 2).members[1])
         assert povm.n_outcomes == 3
-        np.testing.assert_allclose(sum(m * p for m, p in povm.outcomes), np.eye(3), atol=1e-12)
+        resolution = sum(m * np.outer(chi, chi.conj()) for m, chi in zip(povm.weights, povm.directions))
+        np.testing.assert_allclose(resolution, np.eye(3), atol=1e-12)
 
     def test_weights_sum_to_dimension(self, rng):
         povm = random_povm(3, 9, rng)
@@ -150,7 +149,8 @@ class TestOptimalReconstruction:
         basis = mub_bases(3, 1).members[0]
         ens = signal_ensemble(ObservableSet((basis,)))
         recon = optimal_reconstruction(ens, projective_povm(basis))
-        np.testing.assert_allclose(recon.states, basis.projectors, atol=1e-12)
+        projectors = [np.outer(v, v.conj()) for v in basis.vectors]
+        np.testing.assert_allclose(recon.states, projectors, atol=1e-12)
 
     def test_two_unbiased_bases_z_measurement(self):
         recon = optimal_reconstruction(ZX_ENSEMBLE, Z_POVM)
@@ -175,37 +175,40 @@ class TestOptimalReconstruction:
             assert best >= average_fidelity(ens, povm, rival) - 1e-10
 
 
+def top_eigenvalues(ens, povm) -> np.ndarray:
+    """lambda_max(Phi(chi_a)) per outcome, through the public ensemble map."""
+    return np.array(
+        [np.linalg.eigvalsh(ensemble_map(ens, np.outer(chi, chi.conj())))[-1] for chi in povm.directions]
+    )
+
+
 class TestAchievableFidelity:
     def test_two_unbiased_bases_z_measurement(self):
-        breakdown = achievable_fidelity(ZX_ENSEMBLE, Z_POVM)
-        assert breakdown.value == pytest.approx(0.75, abs=1e-12)
+        assert achievable_fidelity(ZX_ENSEMBLE, Z_POVM) == pytest.approx(0.75, abs=1e-12)
 
     def test_single_basis_perfect(self):
         basis = mub_bases(3, 1).members[0]
         ens = signal_ensemble(ObservableSet((basis,)))
-        assert achievable_fidelity(ens, projective_povm(basis)).value == pytest.approx(1.0, abs=1e-12)
+        assert achievable_fidelity(ens, projective_povm(basis)) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_unbiased_bases_z_measurement(self):
         # per outcome the averaged state is (1/6) diag(2, 1), so each of the
         # two unit-weight outcomes contributes 1/3
-        breakdown = achievable_fidelity(ZXY_ENSEMBLE, Z_POVM)
-        assert breakdown.value == pytest.approx(2.0 / 3.0, abs=1e-12)
-        for term in breakdown.per_outcome:
-            assert term.top_eigenvalue == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert achievable_fidelity(ZXY_ENSEMBLE, Z_POVM) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        np.testing.assert_allclose(top_eigenvalues(ZXY_ENSEMBLE, Z_POVM), 1.0 / 3.0, atol=1e-12)
 
     def test_breakdown_sums_to_value(self, rng):
+        # the value is the sum over outcomes of m_a * lambda_max(Phi(chi_a))
         ens = random_ensemble(3, 2, rng)
         povm = random_povm(3, 9, rng)
-        breakdown = achievable_fidelity(ens, povm)
-        assert breakdown.value == pytest.approx(
-            sum(t.contribution for t in breakdown.per_outcome), abs=1e-12
-        )
+        terms = povm.weights * top_eigenvalues(ens, povm)
+        assert achievable_fidelity(ens, povm) == pytest.approx(float(np.sum(terms)), abs=1e-12)
 
     def test_values_stay_in_range(self, rng):
         for _ in range(20):
             ens = random_ensemble(2, 3, rng)
             povm = random_povm(2, 4, rng)
-            value = achievable_fidelity(ens, povm).value
+            value = achievable_fidelity(ens, povm)
             assert 0.5 - 1e-10 <= value <= 1.0 + 1e-10
 
 
@@ -217,7 +220,7 @@ class TestRouteConsistency:
             count = int(rng.integers(1, 4))
             ens = random_ensemble(dim, count, rng)
             povm = random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
-            eig_form = achievable_fidelity(ens, povm).value
+            eig_form = achievable_fidelity(ens, povm)
             overlap_form = achievable_fidelity_overlap_form(ens, povm)
             explicit = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))
             assert abs(eig_form - overlap_form) <= 1e-10

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from qincompat import (
-    DimensionMismatchError,
-    NotHermitianError,
-    commutator_norm,
-    herm_eig,
-    max_eig,
-    projector,
-    random_unit_vector,
-    trace_product,
-)
 from qincompat import linalg
-from conftest import PAULI_X, PAULI_Z, random_hermitian
+from qincompat.errors import DimensionMismatchError, NotHermitianError
+from qincompat.linalg import herm_eig, projector, random_unit_vector
+from conftest import random_hermitian
 
 
 class TestHermEig:
@@ -62,29 +54,33 @@ class TestHermEig:
 
 
 class TestMaxEig:
+    """The largest eigenpair: herm_eig's first eigenvalue and column."""
+
     def test_simple_diagonal(self):
-        value, vector = max_eig(np.diag([0.2, 0.8]).astype(complex))
-        assert value == pytest.approx(0.8)
-        np.testing.assert_allclose(vector, [0.0, 1.0], atol=1e-14)
+        eig = herm_eig(np.diag([0.2, 0.8]).astype(complex))
+        assert eig.eigenvalues[0] == pytest.approx(0.8)
+        np.testing.assert_allclose(eig.eigenvectors[:, 0], [0.0, 1.0], atol=1e-14)
 
     def test_fully_degenerate_is_deterministic(self):
-        value, vector = max_eig(0.5 * np.eye(2, dtype=complex))
-        assert value == pytest.approx(0.5)
-        _, again = max_eig(0.5 * np.eye(2, dtype=complex))
-        assert np.array_equal(vector, again)
+        eig = herm_eig(0.5 * np.eye(2, dtype=complex))
+        assert eig.eigenvalues[0] == pytest.approx(0.5)
+        again = herm_eig(0.5 * np.eye(2, dtype=complex))
+        assert np.array_equal(eig.eigenvectors[:, 0], again.eigenvectors[:, 0])
 
     def test_intercepted_state_average(self):
         # measuring |0><0| against the Z and X bases leaves the average
         # post-measurement state (1/2)(diag(1,0) + I/2) = diag(3/4, 1/4)
         rho = 0.5 * (np.diag([1.0, 0.0]) + np.eye(2) / 2)
-        value, vector = max_eig(rho.astype(complex))
-        assert value == pytest.approx(0.75, abs=1e-14)
-        np.testing.assert_allclose(vector, [1.0, 0.0], atol=1e-14)
+        eig = herm_eig(rho.astype(complex))
+        assert eig.eigenvalues[0] == pytest.approx(0.75, abs=1e-14)
+        np.testing.assert_allclose(eig.eigenvectors[:, 0], [1.0, 0.0], atol=1e-14)
 
     def test_matches_herm_eig_exactly(self, rng):
+        # the see-saw's batched top eigenvalue is herm_eig's largest, bit for bit
         h = random_hermitian(6, rng)
-        value, _ = max_eig(h)
-        assert value == float(np.max(herm_eig(h).eigenvalues))
+        eigenvalues = herm_eig(h).eigenvalues
+        value, _ = linalg.batched_top_eig(h[None])
+        assert value[0] == eigenvalues[0] == np.max(eigenvalues)
 
 
 class TestProjector:
@@ -107,45 +103,6 @@ class TestProjector:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             projector(np.array([1.0, 1.0]))
-
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        assert trace_product(np.eye(3), np.eye(3)) == pytest.approx(3.0)
-
-    def test_orthogonal_projectors(self):
-        assert trace_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_two_random_projectors(self, rng):
-        u, v = random_unit_vector(3, rng), random_unit_vector(3, rng)
-        value = trace_product(projector(u), projector(v))
-        assert abs(value.imag) < 1e-12
-        assert value.real == pytest.approx(abs(np.vdot(u, v)) ** 2, abs=1e-12)
-        assert -1e-12 <= value.real <= 1.0 + 1e-12
-
-    def test_conjugation_symmetry(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            lhs = trace_product(a, b)
-            rhs = np.conj(trace_product(b.conj().T, a.conj().T))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            trace_product(np.eye(2), np.eye(3))
-
-
-class TestCommutatorNorm:
-    def test_diagonal_matrices(self):
-        assert commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, -1.0])) == 0.0
-
-    def test_pauli_pair(self):
-        assert commutator_norm(PAULI_Z, PAULI_X) == pytest.approx(2 * np.sqrt(2), abs=1e-14)
-
-    def test_self_commutes(self, rng):
-        h = random_hermitian(4, rng)
-        assert commutator_norm(h, h) == 0.0
 
 
 class TestRandomUnitVector:

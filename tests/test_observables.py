@@ -3,22 +3,22 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qincompat import (
+from qincompat import Eigenbasis, ObservableSet, eigenbasis_of, mub_bases
+from qincompat.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
-    Eigenbasis,
     NotPrimeError,
-    ObservableSet,
-    SignalEnsemble,
     TooManyBasesError,
+)
+from qincompat.linalg import projector
+from qincompat.observables import (
+    COMMUTATION_TOL,
+    SignalEnsemble,
     commutes,
-    eigenbasis_of,
     is_mutually_unbiased,
     minimal_noncommuting_subset,
-    mub_bases,
     signal_ensemble,
 )
-from qincompat.observables import COMMUTATION_TOL
 from conftest import PAULI_X, PAULI_Z, random_basis, rotated_qubit_basis
 
 Z_BASIS = Eigenbasis(np.eye(2, dtype=complex), label="Z")
@@ -39,15 +39,15 @@ def split_basis_d3() -> Eigenbasis:
 class TestEigenbasisOf:
     def test_pauli_z(self):
         basis = eigenbasis_of(PAULI_Z)
-        np.testing.assert_allclose(basis.projectors[0], np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(basis.projectors[1], np.diag([0.0, 1.0]), atol=1e-14)
+        np.testing.assert_allclose(projector(basis.vectors[0]), np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(projector(basis.vectors[1]), np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_pauli_x(self):
         basis = eigenbasis_of(PAULI_X)
         plus = np.full((2, 2), 0.5)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        np.testing.assert_allclose(basis.projectors[0], plus, atol=1e-14)
-        np.testing.assert_allclose(basis.projectors[1], minus, atol=1e-14)
+        np.testing.assert_allclose(projector(basis.vectors[0]), plus, atol=1e-14)
+        np.testing.assert_allclose(projector(basis.vectors[1]), minus, atol=1e-14)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
@@ -77,7 +77,8 @@ class TestEigenbasisValidation:
 
     def test_projectors_resolve_identity(self, rng):
         basis = random_basis(4, rng)
-        np.testing.assert_allclose(basis.projectors.sum(axis=0), np.eye(4), atol=1e-10)
+        resolution = sum(projector(v) for v in basis.vectors)
+        np.testing.assert_allclose(resolution, np.eye(4), atol=1e-10)
         gram = np.abs(basis.vectors.conj() @ basis.vectors.T) ** 2
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
@@ -184,6 +185,12 @@ class TestMinimalNoncommutingSubset:
         assert chosen in brute_force_valid_subsets(obs)
 
 
+def priors(ens: SignalEnsemble) -> np.ndarray:
+    """The weight each state carries in the ensemble map: tr(P_k) / n_states = 1/(N*d)."""
+    rows = ens.phi_rows.view(complex).reshape(ens.n_states, ens.dim, ens.dim)
+    return np.trace(rows, axis1=1, axis2=2).real
+
+
 class TestSignalEnsemble:
     @pytest.mark.parametrize(
         "bases,expected_states",
@@ -192,12 +199,12 @@ class TestSignalEnsemble:
     def test_counts_and_prior(self, bases, expected_states):
         ens = signal_ensemble(ObservableSet(bases))
         assert ens.n_states == expected_states
-        assert ens.prior == 1.0 / expected_states
+        np.testing.assert_allclose(priors(ens), 1.0 / expected_states, rtol=1e-15)
 
     def test_three_qutrit_bases(self):
         ens = signal_ensemble(mub_bases(3, 3))
         assert ens.n_states == 9
-        assert ens.prior == 1.0 / 9.0
+        np.testing.assert_allclose(priors(ens), 1.0 / 9.0, rtol=1e-15)
 
     def test_states_are_projectors(self):
         ens = signal_ensemble(ObservableSet((Z_BASIS, X_BASIS)))

@@ -3,28 +3,29 @@ import pytest
 
 from qincompat import (
     Eigenbasis,
-    NotMutuallyUnbiasedError,
     ObservableSet,
     OptimizerConfig,
-    Povm,
-    WrongDimensionError,
-    achievable_fidelity,
-    average_fidelity,
-    collision_probability_sum,
-    fuchs_lower_bound,
     incompatibility,
     mub_bases,
-    optimal_fidelity,
-    projective_povm,
-    q_upper_bounds,
-    qubit_grid_oracle,
-    random_povm,
-    see_saw,
     shared_eigenvector_pair,
-    signal_ensemble,
+)
+from qincompat.errors import NotMutuallyUnbiasedError, SingularUpdateError
+from qincompat.fidelity import (
+    Povm,
+    achievable_fidelity,
+    average_fidelity,
+    projective_povm,
+    random_povm,
+)
+from qincompat.observables import signal_ensemble
+from qincompat.optimizer import (
+    collision_probability_sum,
+    fuchs_lower_bound,
+    optimal_fidelity,
+    q_upper_bounds,
+    see_saw,
 )
 from conftest import qubit_fidelity_optimum, random_ensemble, rotated_qubit_basis
-from qincompat.errors import SingularUpdateError
 
 FAST = OptimizerConfig(restarts=4, seed=0)
 
@@ -128,6 +129,12 @@ class TestOptimizerConfig:
             {"convergence_eps": 0.0},
             {"seed": -1},
             {"weight_prune_eps": 0.0},
+            {"convergence_eps": float("nan")},
+            {"convergence_eps": float("inf")},
+            {"convergence_eps": float("-inf")},
+            {"weight_prune_eps": float("nan")},
+            {"weight_prune_eps": float("inf")},
+            {"weight_prune_eps": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -190,7 +197,7 @@ class TestSeeSaw:
         result = see_saw(ens, random_povm(3, 9, rng))
         replay = average_fidelity(ens, result.povm, result.reconstruction)
         assert abs(replay - result.fidelity) <= 1e-10
-        assert abs(achievable_fidelity(ens, result.povm).value - result.fidelity) <= 1e-10
+        assert abs(achievable_fidelity(ens, result.povm) - result.fidelity) <= 1e-10
 
 
 class TestBatchedKernel:
@@ -303,9 +310,7 @@ class TestOptimalFidelity:
         for dim in (3, 4):
             obs = ObservableSet(shared_eigenvector_pair(dim))
             ens = signal_ensemble(obs)
-            block_value = achievable_fidelity(
-                ens, projective_povm(obs.members[0])
-            ).value
+            block_value = achievable_fidelity(ens, projective_povm(obs.members[0]))
             assert block_value == pytest.approx((dim + 2.0) / (2.0 * dim), abs=1e-12)
             search = optimal_fidelity(ens, FAST)
             assert search.fidelity == pytest.approx((dim + 2.0) / (2.0 * dim), abs=1e-9)
@@ -350,37 +355,35 @@ class TestIncompatibility:
 
 
 class TestQubitGridOracle:
+    """The see-saw on qubit ensembles against the exact optimum qubit_fidelity_optimum."""
+
+    @staticmethod
+    def check_unbiased(n_bases, exact):
+        ens = signal_ensemble(mub_bases(2, n_bases))
+        assert qubit_fidelity_optimum(ens) == pytest.approx(exact, abs=1e-12)
+        assert abs(optimal_fidelity(ens, FAST).fidelity - exact) <= 1e-9
+
     def test_two_bases(self):
-        ens = signal_ensemble(mub_bases(2, 2))
-        assert qubit_grid_oracle(ens, 180) == pytest.approx(0.75, abs=1e-4)
+        self.check_unbiased(2, 0.75)
 
     def test_three_bases(self):
-        ens = signal_ensemble(mub_bases(2, 3))
-        assert qubit_grid_oracle(ens, 180) == pytest.approx(2.0 / 3.0, abs=1e-4)
+        self.check_unbiased(3, 2.0 / 3.0)
 
     def test_single_basis(self):
-        ens = signal_ensemble(mub_bases(2, 1))
-        assert qubit_grid_oracle(ens, 90) == pytest.approx(1.0, abs=1e-6)
-
-    def test_wrong_dimension(self):
-        with pytest.raises(WrongDimensionError):
-            qubit_grid_oracle(signal_ensemble(mub_bases(3, 2)))
+        self.check_unbiased(1, 1.0)
 
     def test_matches_closed_form_on_random_ensembles(self, rng):
-        # independent check: for qubit ensembles the optimum over projective
-        # measurements has a closed form through the Bloch axes
         for _ in range(5):
             ens = random_ensemble(2, int(rng.integers(2, 4)), rng)
-            assert qubit_grid_oracle(ens, 120) == pytest.approx(
-                qubit_fidelity_optimum(ens), abs=1e-6
-            )
+            search = optimal_fidelity(ens, FAST)
+            assert abs(search.fidelity - qubit_fidelity_optimum(ens)) <= 1e-9
 
     def test_agrees_with_see_saw(self):
         tilted = rotated_qubit_basis(0.3, label="tilted")
         z = mub_bases(2, 1).members[0]
         ens = signal_ensemble(ObservableSet((z, tilted)))
         search = optimal_fidelity(ens, FAST)
-        assert abs(search.fidelity - qubit_grid_oracle(ens, 180)) <= 1e-4
+        assert abs(search.fidelity - qubit_fidelity_optimum(ens)) <= 1e-9
 
 
 class TestCollisionProbabilitySum:
