@@ -25,13 +25,14 @@ import json
 import numpy as np
 
 from . import linalg
-from .errors import InputFormatError, QincompatError
+from .errors import InputFormatError, NotHermitianError
 from .fidelity import Povm, ReconstructionMap
-from .observables import Eigenbasis, ObservableSet, eigenbasis_of
+from .observables import BASIS_GRAM_TOL, Eigenbasis, ObservableSet, basis_checks, eigenbasis_rows
 from .optimizer import IncompatibilityReport
 
-INPUT_HERMITICITY_TOL = 1e-9
 INPUT_BASIS_TOL = 1e-9
+# the field that holds each item type's (d, d) array of [re, im] pairs
+_ITEM_FIELDS = {"observable": "matrix", "basis": "vectors"}
 
 
 def to_pairs(array: np.ndarray):
@@ -165,7 +166,7 @@ def from_pairs(data, where: str) -> np.ndarray:
     """Parse nested [re, im] pairs back into a complex array; NaN and Inf are rejected."""
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"{where}: malformed complex array ({exc})") from exc
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise InputFormatError(f"{where}: complex entries must be [re, im] pairs")
@@ -192,12 +193,49 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def _item_arrays(raw: list, fields: list[str], dim: int) -> tuple[np.ndarray, InputFormatError | None]:
+    """The complex (d, d) arrays of the items, each checked as by :func:`from_pairs` and for shape.
+
+    One np.asarray reads them all when they form a (n, d, d, 2) array;
+    otherwise they are read one by one up to the first that fails. Returns
+    the arrays of the items before the first failure, and its error.
+    """
+    try:
+        stack = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stack = None
+    if stack is not None and stack.shape == (len(raw), dim, dim, 2):
+        good, error = len(raw), None
+        if not np.isfinite(stack).all():
+            good = int(np.argmin(np.isfinite(stack).all(axis=(1, 2, 3))))
+            error = InputFormatError(f"items[{good}].{fields[good]}: non-finite number")
+        return stack[:good, ..., 0] + 1j * stack[:good, ..., 1], error
+    arrays, error = [], None
+    for idx, (data, field) in enumerate(zip(raw, fields)):
+        where = f"items[{idx}].{field}"
+        try:
+            array = from_pairs(data, where)
+        except InputFormatError as exc:
+            error = exc
+            break
+        if array.shape != (dim, dim):
+            error = InputFormatError(f"{where}: expected shape ({dim}, {dim}), got {array.shape}")
+            break
+        arrays.append(array)
+    return np.array(arrays, dtype=complex).reshape(-1, dim, dim), error
+
+
 def parse_observable_set(doc: dict, degeneracy_tol: float = 1e-8) -> ObservableSet:
     """Validate a parsed input document and build the observable set.
 
     Matrices must be Hermitian within 1e-9 and basis vectors orthonormal
     within 1e-9; observables additionally need a nondegenerate spectrum so
-    their eigenbases are well defined.
+    their eigenbases are well defined. The document is read and checked in
+    one batched pass: one array of all items, one eigendecomposition of all
+    observables (:func:`eigenbasis_rows`), then one :func:`basis_checks` of
+    every member, at 1e-10 for eigenbases and 1e-9 for basis items. The
+    error raised is that of the first item, in document order, that fails
+    any check.
     """
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
@@ -206,31 +244,49 @@ def parse_observable_set(doc: dict, degeneracy_tol: float = 1e-8) -> ObservableS
     if not isinstance(items, list) or not items:
         raise InputFormatError("items must be a nonempty list")
 
-    bases = []
+    labels, fields, raw = [], [], []
+    error = None
     for idx, item in enumerate(items):
-        where = f"items[{idx}]"
         if not isinstance(item, dict):
-            raise InputFormatError(f"{where}: must be an object")
+            error = InputFormatError(f"items[{idx}]: must be an object")
+            break
         kind = item.get("type")
-        label = item.get("label", f"item-{idx}")
-        if kind == "observable":
-            matrix = from_pairs(item.get("matrix"), f"{where}.matrix")
-            if matrix.shape != (dim, dim):
-                raise InputFormatError(f"{where}.matrix: expected shape ({dim}, {dim}), got {matrix.shape}")
-            if not linalg.is_hermitian(matrix, INPUT_HERMITICITY_TOL):
-                raise InputFormatError(f"{where}.matrix: not Hermitian within {INPUT_HERMITICITY_TOL:g}")
-            bases.append(eigenbasis_of(matrix, degeneracy_tol, label=str(label)))
-        elif kind == "basis":
-            vectors = from_pairs(item.get("vectors"), f"{where}.vectors")
-            if vectors.shape != (dim, dim):
-                raise InputFormatError(f"{where}.vectors: expected shape ({dim}, {dim}), got {vectors.shape}")
-            try:
-                bases.append(Eigenbasis(vectors=vectors, label=str(label), tol=INPUT_BASIS_TOL))
-            except (ValueError, QincompatError) as exc:
-                raise InputFormatError(f"{where}.vectors: {exc}") from exc
+        if kind not in _ITEM_FIELDS:
+            error = InputFormatError(f"items[{idx}]: unknown item type {kind!r}")
+            break
+        labels.append(str(item.get("label", f"item-{idx}")))
+        fields.append(_ITEM_FIELDS[kind])
+        raw.append(item.get(fields[-1]))
+    arrays, array_error = _item_arrays(raw, fields, dim)
+    error = array_error or error
+
+    # every item before the first structural failure is numerically checked
+    rows = arrays
+    at = [k for k in range(len(rows)) if fields[k] == "matrix"]
+    tol = np.full(len(rows), INPUT_BASIS_TOL)
+    failures: dict[int, Exception] = {}
+    if at:
+        rows[at], found = eigenbasis_rows(rows[at], degeneracy_tol, [labels[k] for k in at])
+        tol[at] = BASIS_GRAM_TOL
+        for j, exc in found.items():
+            k = at[j]
+            if isinstance(exc, NotHermitianError):
+                exc = InputFormatError(f"items[{k}].matrix: not Hermitian within {linalg.HERMITICITY_TOL:g}")
+            failures[k] = exc
+    for k, exc in linalg.first_failures(*basis_checks(rows, tol, labels)).items():
+        if k in failures:
+            continue
+        if fields[k] == "matrix":
+            failures[k] = exc
         else:
-            raise InputFormatError(f"{where}: unknown item type {kind!r}")
-    return ObservableSet(tuple(bases))
+            failures[k] = InputFormatError(f"items[{k}].vectors: {exc}")
+            failures[k].__cause__ = exc
+    if failures:
+        raise failures[min(failures)]
+    if error is not None:
+        raise error
+    rows.setflags(write=False)
+    return ObservableSet(tuple(map(Eigenbasis._checked, rows, labels)))
 
 
 def basis_document(obs: ObservableSet) -> dict:

@@ -53,18 +53,7 @@ class Povm:
             raise DimensionMismatchError(
                 f"expected weights (K,) and directions (K, {self.dim}), got {w.shape} and {x.shape}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(x))):
-            raise ValueError("POVM weights and directions must be finite")
-        if np.any(w <= 0):
-            raise ValueError("all POVM weights must be strictly positive")
-        norms = np.linalg.norm(x, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ValueError("POVM directions must be unit vectors")
-        resolution = np.einsum("a,ai,aj->ij", w, x, x.conj())
-        if linalg.frobenius_norm(resolution - np.eye(self.dim)) > COMPLETENESS_TOL:
-            raise ValueError("POVM elements do not sum to the identity within 1e-9")
-        if abs(float(np.sum(w)) - self.dim) > COMPLETENESS_TOL:
-            raise ValueError("POVM weights must sum to the dimension")
+        _check_povms(self.dim, w[None], x[None])
         w.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -73,6 +62,28 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return self.weights.shape[0]
+
+
+def _check_povms(dim: int, weights: np.ndarray, directions: np.ndarray) -> None:
+    """The checks of :class:`Povm` on (R, K) weights and (R, K, d) directions, in one pass.
+
+    Each check runs on all R POVMs at once and raises ValueError when any
+    fails: finite entries, positive weights, unit directions within 1e-10,
+    elements summing to the identity within 1e-9 (Frobenius) and weights
+    summing to the dimension within 1e-9.
+    """
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(directions))):
+        raise ValueError("POVM weights and directions must be finite")
+    if np.any(weights <= 0):
+        raise ValueError("all POVM weights must be strictly positive")
+    norms = np.linalg.norm(directions, axis=2)
+    if np.max(np.abs(norms - 1.0)) > 1e-10:
+        raise ValueError("POVM directions must be unit vectors")
+    resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
+    if np.any(linalg.frobenius_norms(resolution - np.eye(dim)) > COMPLETENESS_TOL):
+        raise ValueError("POVM elements do not sum to the identity within 1e-9")
+    if np.any(np.abs(np.sum(weights, axis=1) - dim) > COMPLETENESS_TOL):
+        raise ValueError("POVM weights must sum to the dimension")
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,7 @@ def optimal_reconstruction(ens: SignalEnsemble, povm: Povm) -> ReconstructionMap
     For each outcome, resend the pure state along the top eigenvector of
     d * Phi(chi_a), which is a density matrix; by linearity of the average
     fidelity in sigma_a no mixed choice can do better. Degenerate top
-    eigenvalues resolve to the deterministic eigenvector order of herm_eig.
+    eigenvalues resolve to the deterministic eigenvector order of eigh.
     """
     _check_dims(ens, povm)
     phi = _phi_batch(ens, _signal_overlaps(ens, povm.directions))
@@ -232,21 +243,26 @@ def projective_povm(basis: Eigenbasis) -> Povm:
     )
 
 
-def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
-    """Random rank-1 POVM: Haar directions symmetrized to completeness.
+def random_povm(dim: int, n_outcomes: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Random rank-1 POVMs, one per generator: Haar directions symmetrized to completeness.
 
-    Draws ``n_outcomes`` Haar-random directions chi_a, then replaces each
-    unnormalized element |chi_a><chi_a| by W^(-1/2) |chi_a><chi_a| W^(-1/2)
-    with W the sum of all of them, which restores the identity resolution.
+    Each generator draws ``n_outcomes`` Haar-random directions chi_a; each
+    unnormalized element |chi_a><chi_a| is then replaced by
+    W^(-1/2) |chi_a><chi_a| W^(-1/2), with W the sum of all of them, which
+    restores the identity resolution. The R POVMs are built with one batched
+    eigh and checked in one pass (:func:`_check_povms`), with the bits each
+    would get if built alone. Returns (R, K) weights and (R, K, d) directions.
     """
     if n_outcomes < dim:
         raise ValueError(f"completeness needs at least {dim} rank-1 outcomes, got {n_outcomes}")
-    x = linalg.random_unit_vectors(n_outcomes, dim, rng)
-    w = np.einsum("ai,aj->ij", x, x.conj())
+    x = np.stack([linalg.random_unit_vectors(n_outcomes, dim, rng) for rng in rngs])
+    w = np.einsum("rai,raj->rij", x, x.conj())
     vals, vecs = np.linalg.eigh(w)
-    if float(vals[0]) < 1e-12:
+    if np.any(vals[:, 0] < 1e-12):
         raise ValueError("sampled directions do not span the space; try more outcomes")
-    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    y = x @ inv_root.T
-    norms = np.linalg.norm(y, axis=1)
-    return Povm(dim=dim, weights=norms**2, directions=y / norms[:, None])
+    inv_root = (vecs * (1.0 / np.sqrt(vals))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    y = x @ inv_root.swapaxes(1, 2)
+    norms = np.linalg.norm(y, axis=2)
+    weights, directions = norms**2, y / norms[..., None]
+    _check_povms(dim, weights, directions)
+    return weights, directions

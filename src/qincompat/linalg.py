@@ -9,8 +9,6 @@ RNG state anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, NotHermitianError
@@ -35,9 +33,9 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger) / 2."""
-    return (a + a.conj().T) / 2
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., d, d) stack."""
+    return np.sqrt((stack * stack.conj()).real.sum(axis=(-2, -1)))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -45,82 +43,107 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return frobenius_norm(a - a.conj().T) <= tol * frobenius_norm(a)
 
 
-def _as_square(a: np.ndarray) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def fix_phases(rows: np.ndarray) -> np.ndarray:
     """Rotate each row so its first amplitude above 1e-12 is real positive.
 
-    Makes eigenvector output deterministic up to the underlying solver;
-    rows entirely below the floor are returned unchanged.
+    ``rows`` is a matrix or a stack of them. Makes eigenvector output
+    deterministic up to the underlying solver; rows entirely below the floor
+    are returned unchanged.
     """
-    rows = np.atleast_2d(rows)
-    lead = np.argmax(np.abs(rows) > _PHASE_FLOOR, axis=1)
-    pivot = rows[np.arange(rows.shape[0]), lead]
+    flat = rows.reshape(-1, rows.shape[-1])
+    pivot = flat[np.arange(flat.shape[0]), (np.abs(flat) > _PHASE_FLOOR).argmax(axis=1)]
     mag = np.abs(pivot)
     scale = np.where(mag > 0, np.conj(pivot) / np.where(mag > 0, mag, 1.0), 1.0)
-    return rows * scale[:, None]
+    return (flat * scale[:, None]).reshape(rows.shape)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral factorization of a Hermitian matrix.
+def first_failures(failed, errors, failures: dict[int, Exception] | None = None) -> dict[int, Exception]:
+    """The error of the first check each entry of a stack fails, by entry.
 
-    ``eigenvalues`` is real and sorted descending; column k of
-    ``eigenvectors`` belongs to ``eigenvalues[k]``. Each eigenvector has its
-    leading nonzero amplitude rotated to the positive real axis, so repeated
-    calls on the same input give identical output, signs and phases included.
+    ``failed`` holds one boolean mask over the stack per check, in the order
+    every entry takes the checks, and ``errors[c](k)`` builds the exception
+    of check c for entry k. Entries that pass every check are absent. Given
+    ``failures`` from earlier checks, adds to it and keeps its entries.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted projectors onto the eigenvectors."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+    failures = {} if failures is None else failures
+    if any(map(np.count_nonzero, failed)):
+        for mask, error in zip(failed, errors):
+            for k in np.flatnonzero(mask).tolist():
+                if k not in failures:
+                    failures[k] = error(k)
+    return failures
 
 
-def herm_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, deterministically ordered.
-
-    Raises NotHermitianError if ||H - H^dagger||_F > tol * ||H||_F, and
-    ConvergenceError if the solver fails or the factors do not reproduce the
-    input to 1e-9 in Frobenius norm.
-    """
-    m = _as_square(matrix)
-    if not is_hermitian(m, tol):
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {frobenius_norm(m - m.conj().T):.3e} (relative tol {tol:g})"
-        )
+def _eigh_each(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """np.linalg.eigh of a stack; a matrix the solver fails on gets NaN factors and its error."""
     try:
-        vals, vecs = np.linalg.eigh(hermitian_part(m))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(fix_phases(vecs[:, order].T).T)
-    eig = EigenDecomposition(vals, vecs)
+        vals, vecs = np.linalg.eigh(h)
+        return vals, vecs, {}
+    except np.linalg.LinAlgError:
+        pass
+    vals = np.full(h.shape[:-1], np.nan)
+    vecs = np.full(h.shape, np.nan, dtype=complex)
+    unsolved = {}
+    for k, m in enumerate(h):
+        try:
+            vals[k], vecs[k] = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            unsolved[k] = exc
+    return vals, vecs, unsolved
 
-    gram = vecs.conj().T @ vecs
-    if frobenius_norm(gram - np.eye(m.shape[0])) > GRAM_TOL:
-        raise ConvergenceError("eigenvectors lost orthonormality")
-    if frobenius_norm(eig.reconstruct() - hermitian_part(m)) > RECONSTRUCTION_TOL * max(
-        1.0, frobenius_norm(m)
-    ):
-        raise ConvergenceError("eigendecomposition does not reproduce the input")
-    return eig
+
+def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Eigendecompositions of a (n, d, d) stack of Hermitian matrices, solved and checked in one pass.
+
+    Returns (values, rows, failures). ``values[k]`` is sorted descending and
+    ``rows[k, j]`` is the eigenvector of ``values[k, j]``, its leading
+    amplitude above 1e-12 rotated to the positive real axis, so output is
+    deterministic, phases included. One batched eigh of the Hermitian parts
+    gives each matrix the bits a solve of that matrix alone gives.
+
+    ``failures`` maps entry k to the error of the first check it fails, in
+    this order: NotHermitianError when ||H - H^dagger||_F > 1e-9 * ||H||_F;
+    ConvergenceError when the solver fails, when the rows' Gram matrix is
+    off the identity by more than 1e-10, or when the factors miss
+    (H + H^dagger)/2 by more than 1e-9 * max(1, ||H||_F), all in Frobenius
+    norm. Entries that fail still get (meaningless) factors.
+    """
+    h = np.asarray(matrices, dtype=complex)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {h.shape}")
+    adjoint = h.conj().swapaxes(1, 2)
+    hermitian = (h + adjoint) / 2
+    vals, vecs, unsolved = _eigh_each(hermitian)
+    order = (-vals).argsort(axis=1, kind="stable")
+    entry = np.arange(len(h))[:, None]
+    values = vals[entry, order]
+    rows = fix_phases(vecs.swapaxes(1, 2)[entry, order])
+
+    columns, conj = rows.swapaxes(1, 2), rows.conj()
+    scale, asymmetry, gram_error, residual = frobenius_norms(np.array((
+        h, h - adjoint, conj @ columns - np.eye(h.shape[1]), (columns * values[:, None, :]) @ conj - hermitian
+    )))
+    diverged = np.zeros(len(h), dtype=bool)
+    if unsolved:
+        diverged[list(unsolved)] = True
+    failures = first_failures(
+        (
+            ~(asymmetry <= HERMITICITY_TOL * scale),
+            diverged,
+            gram_error > GRAM_TOL,
+            residual > RECONSTRUCTION_TOL * np.maximum(1.0, scale),
+        ),
+        (
+            lambda k: NotHermitianError(
+                f"matrix deviates from Hermitian by {frobenius_norm(h[k] - adjoint[k]):.3e}"
+                f" (relative tol {HERMITICITY_TOL:g})"
+            ),
+            lambda k: ConvergenceError(f"eigensolver did not converge: {unsolved[k]}"),
+            lambda k: ConvergenceError("eigenvectors lost orthonormality"),
+            lambda k: ConvergenceError("eigendecomposition does not reproduce the input"),
+        ),
+    )
+    return values, rows, failures
 
 
 def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

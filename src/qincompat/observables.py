@@ -49,15 +49,19 @@ class Eigenbasis:
         v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DimensionMismatchError(f"basis vectors must form a square array, got {v.shape}")
-        # written as not (err <= tol) so that NaN amplitudes fail too
-        overlaps = np.abs(v.conj() @ v.T) ** 2
-        if not np.max(np.abs(overlaps - np.eye(v.shape[0]))) <= tol:
-            raise ValueError(f"basis {self.label!r} is not orthonormal within {tol:g}")
-        completeness = v.T @ v.conj()
-        if not linalg.frobenius_norm(completeness - np.eye(v.shape[0])) <= tol:
-            raise ValueError(f"basis {self.label!r} does not resolve the identity within {tol:g}")
+        failure = linalg.first_failures(*basis_checks(v[None], tol, [self.label])).get(0)
+        if failure is not None:
+            raise failure
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
+
+    @classmethod
+    def _checked(cls, vectors: np.ndarray, label: str) -> Eigenbasis:
+        """An Eigenbasis of read-only rows that have passed :func:`basis_checks`, not checked again."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "vectors", vectors)
+        object.__setattr__(basis, "label", label)
+        return basis
 
     @property
     def dim(self) -> int:
@@ -161,6 +165,52 @@ class CommutationReport:
     commutator_norm: float
 
 
+def basis_checks(vectors: np.ndarray, tol, labels) -> tuple[tuple, tuple]:
+    """The checks of :class:`Eigenbasis` on a (n, d, d) stack of row bases, for linalg.first_failures.
+
+    Entry k fails when some |<v_i|v_j>|^2 is off the identity by more than
+    ``tol`` (a scalar, or one value per entry), or else when sum_j |v_j><v_j|
+    is off it by more than ``tol`` in Frobenius norm; ``labels[k]`` names
+    it. Written as not (err <= tol) so that NaN amplitudes fail too.
+    """
+    eye = np.eye(vectors.shape[-1])
+    conj, columns = vectors.conj(), vectors.swapaxes(1, 2)
+    off = np.abs(np.abs(conj @ columns) ** 2 - eye).max(axis=(1, 2))
+    incomplete = linalg.frobenius_norms(columns @ conj - eye)
+
+    def tol_of(k: int) -> float:
+        return float(np.broadcast_to(tol, off.shape)[k])
+
+    return (~(off <= tol), ~(incomplete <= tol)), (
+        lambda k: ValueError(f"basis {labels[k]!r} is not orthonormal within {tol_of(k):g}"),
+        lambda k: ValueError(f"basis {labels[k]!r} does not resolve the identity within {tol_of(k):g}"),
+    )
+
+
+def eigenbasis_rows(
+    matrices: np.ndarray, degeneracy_tol: float, labels
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Eigenvector rows of a (n, d, d) stack of Hermitian observables, solved and checked in one pass.
+
+    Returns (rows, failures): ``rows[k]`` holds the eigenvectors of matrix k
+    as rows, eigenvalues descending (see :func:`linalg.herm_eigs`), and
+    ``failures`` maps entry k to the error of the first check it fails:
+    those of herm_eigs, then DegenerateSpectrumError when two eigenvalues
+    are closer than ``degeneracy_tol``. ``labels[k]`` names entry k. The
+    rows have not yet passed :func:`basis_checks`.
+    """
+    values, rows, failures = linalg.herm_eigs(matrices)
+    degenerate = (values[:, :-1] - values[:, 1:]).min(axis=1, initial=np.inf) < degeneracy_tol
+
+    def error(k: int) -> DegenerateSpectrumError:
+        gap = float(np.min(-np.diff(values[k])))  # -diff, so an exact tie reads -0.000e+00 as it always has
+        return DegenerateSpectrumError(
+            f"observable {labels[k]!r} has eigenvalue gap {gap:.3e} < {degeneracy_tol:g}"
+        )
+
+    return rows, linalg.first_failures((degenerate,), (error,), failures)
+
+
 def eigenbasis_of(
     matrix: np.ndarray,
     degeneracy_tol: float = DEGENERACY_TOL,
@@ -168,17 +218,22 @@ def eigenbasis_of(
 ) -> Eigenbasis:
     """Eigenbasis of a Hermitian observable, eigenvalues sorted descending.
 
-    Raises DegenerateSpectrumError when two eigenvalues are closer than
-    ``degeneracy_tol``; the eigenprojector list is ambiguous in that case and
-    the ambiguity is surfaced instead of resolved arbitrarily.
+    :func:`eigenbasis_rows` and :func:`basis_checks` on a stack of one.
+    Raises NotHermitianError or ConvergenceError from the
+    eigendecomposition, and DegenerateSpectrumError when two eigenvalues
+    are closer than ``degeneracy_tol``; the eigenprojector list is
+    ambiguous in that case and the ambiguity is surfaced instead of
+    resolved arbitrarily.
     """
-    eig = linalg.herm_eig(matrix)
-    gaps = -np.diff(eig.eigenvalues)
-    if gaps.size and float(np.min(gaps)) < degeneracy_tol:
-        raise DegenerateSpectrumError(
-            f"observable {label!r} has eigenvalue gap {float(np.min(gaps)):.3e} < {degeneracy_tol:g}"
-        )
-    return Eigenbasis(vectors=eig.eigenvectors.T.copy(), label=label)
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    rows, failures = eigenbasis_rows(m[None], degeneracy_tol, [label])
+    linalg.first_failures(*basis_checks(rows, BASIS_GRAM_TOL, [label]), failures)
+    if failures:
+        raise failures[0]
+    rows.setflags(write=False)
+    return Eigenbasis._checked(rows[0], label)
 
 
 def _commutator_norms(overlaps: np.ndarray) -> np.ndarray:

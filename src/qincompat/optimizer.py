@@ -394,11 +394,8 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     weights[:n_bases, :dim] = 1.0
     directions[:n_bases, :dim] = ens.vectors
     directions[:n_bases, dim:] = ens.vectors[:, :1]
-    for restart in range(config.restarts):
-        rng = np.random.default_rng((config.seed, restart))
-        povm = random_povm(dim, n_outcomes, rng)
-        weights[n_bases + restart] = povm.weights
-        directions[n_bases + restart] = povm.directions
+    rngs = [np.random.default_rng((config.seed, restart)) for restart in range(config.restarts)]
+    weights[n_bases:], directions[n_bases:] = random_povm(dim, n_outcomes, rngs)
 
     runs = _see_saw_batch(ens, weights, directions, config)
     best = int(np.argmax(runs.fidelity))

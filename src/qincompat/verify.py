@@ -13,6 +13,7 @@ import numpy as np
 from . import linalg
 from .errors import BoundViolationError, DegenerateSpectrumError
 from .fidelity import (
+    Povm,
     achievable_fidelity,
     achievable_fidelity_overlap_form,
     average_fidelity,
@@ -109,7 +110,8 @@ def fidelity_consistency_suite(samples: int = 200, seed: int = 0) -> SuiteResult
         dim = int(rng.integers(2, 4))
         count = int(rng.integers(2, 4))
         ens = _random_ensemble(dim, count, rng)
-        povm = random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
+        weights, directions = random_povm(dim, int(rng.integers(dim, dim * dim + 1)), [rng])
+        povm = Povm(dim, weights[0], directions[0])
 
         eig_form = achievable_fidelity(ens, povm)
         overlap_form = achievable_fidelity_overlap_form(ens, povm)
@@ -190,6 +192,8 @@ def run_suites(
     seed: int = 0,
 ) -> list[SuiteResult]:
     """Run the selected suites (all by default) with a shared seed."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     selected = names or list(ALL_SUITES)
     results = []
     for name in selected:

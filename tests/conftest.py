@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qincompat.fidelity import Povm, random_povm
 from qincompat.observables import Eigenbasis, ObservableSet, SignalEnsemble, eigenbasis_of, signal_ensemble
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,6 +44,12 @@ def random_basis(dim: int, rng: np.random.Generator, label: str = "") -> Eigenba
 def random_ensemble(dim: int, count: int, rng: np.random.Generator) -> SignalEnsemble:
     obs = ObservableSet(tuple(random_basis(dim, rng, f"r{i}") for i in range(count)))
     return signal_ensemble(obs)
+
+
+def one_random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
+    """A single random POVM from the batched builder, as a validated Povm."""
+    weights, directions = random_povm(dim, n_outcomes, [rng])
+    return Povm(dim, weights[0], directions[0])
 
 
 def bloch_axes(ens: SignalEnsemble) -> np.ndarray:

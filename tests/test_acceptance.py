@@ -29,12 +29,12 @@ from qincompat.fidelity import (
     optimal_reconstruction,
     projective_povm,
     projective_strategy_fidelity,
-    random_povm,
 )
 from qincompat.linalg import random_unit_vector
 from qincompat.observables import commutes, minimal_noncommuting_subset, signal_ensemble
 from qincompat.optimizer import collision_probability_sum
 from conftest import (
+    one_random_povm,
     qubit_fidelity_optimum,
     random_basis,
     random_density,
@@ -160,7 +160,7 @@ def test_achievable_fidelity_route_consistency():
         dim = int(rng.integers(2, 4))
         count = int(rng.integers(1, 4))
         ens = random_ensemble(dim, count, rng)
-        povm = random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
+        povm = one_random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
         eig_form = achievable_fidelity(ens, povm)
         assert abs(eig_form - achievable_fidelity_overlap_form(ens, povm)) <= 1e-10
         explicit = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))

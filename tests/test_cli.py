@@ -162,6 +162,109 @@ class TestMeasureCommand:
         assert "synthetic" in err
 
 
+def measure_error(tmp_path, capsys, items, dim=2):
+    """Exit code, stdout and stderr of ``measure`` on a document of these items."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": dim, "items": items}))
+    return run(capsys, "measure", str(path), "--restarts", "1")
+
+
+def observable(matrix, label="obs"):
+    return {"type": "observable", "label": label, "matrix": to_pairs(np.asarray(matrix, dtype=complex))}
+
+
+def basis(vectors, label="basis"):
+    return {"type": "basis", "label": label, "vectors": to_pairs(np.asarray(vectors, dtype=complex))}
+
+
+Z_ITEM = observable(np.diag([1.0, -1.0]), "Z")
+X_ITEM = basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), "X")
+FLAT = np.diag([1.0, 1.0 + 2.0**-30])  # eigenvalue gap 9.313e-10
+NEARLY_ORTHOGONAL = np.array([[1.0, 0.0], [1e-5, np.sqrt(1.0 - 1e-10)]])
+
+
+class TestMeasureErrors:
+    """The first failing item, in document order, names the error: exact stderr line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "bad, line",
+        [
+            (5, "items[1]: must be an object"),
+            ({"type": "thing", "label": "t"}, "items[1]: unknown item type 'thing'"),
+            (
+                {"type": "observable", "label": "t", "matrix": [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]},
+                "items[1].matrix: complex entries must be [re, im] pairs",
+            ),
+            (observable(np.eye(3), "big"), "items[1].matrix: expected shape (2, 2), got (3, 3)"),
+            (basis(np.eye(3), "big"), "items[1].vectors: expected shape (2, 2), got (3, 3)"),
+            (observable([[0.0, 1.0], [0.0, 0.0]], "up"), "items[1].matrix: not Hermitian within 1e-09"),
+            (observable(FLAT, "flat"), "observable 'flat' has eigenvalue gap 9.313e-10 < 1e-08"),
+            (basis(np.ones((2, 2)), "bad"), "items[1].vectors: basis 'bad' is not orthonormal within 1e-09"),
+            (
+                basis(NEARLY_ORTHOGONAL, "skew"),
+                "items[1].vectors: basis 'skew' does not resolve the identity within 1e-09",
+            ),
+        ],
+    )
+    def test_failure_kinds(self, tmp_path, capsys, bad, line):
+        code, out, err = measure_error(tmp_path, capsys, [Z_ITEM, bad, X_ITEM])
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        text = json.dumps({"dim": 2, "items": [X_ITEM, Z_ITEM]})
+        path.write_text(text.replace("-1.0", "-1" + "0" * 400, 1))
+        code, out, err = run(capsys, "measure", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: items[1].matrix: malformed complex array (")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("item", [Z_ITEM, X_ITEM])
+    def test_non_finite(self, tmp_path, capsys, bad, item):
+        item = json.loads(json.dumps(item))
+        field = "matrix" if item["type"] == "observable" else "vectors"
+        item[field][1][1][1] = bad
+        code, out, err = measure_error(tmp_path, capsys, [X_ITEM, item])
+        assert (code, out, err) == (2, "", f"error: items[1].{field}: non-finite number\n")
+
+    @pytest.mark.parametrize(
+        "first, later, line",
+        [
+            (
+                observable([[0.0, 1.0], [0.0, 0.0]], "up"),
+                {"type": "thing"},
+                "items[1].matrix: not Hermitian within 1e-09",
+            ),
+            (basis(np.ones((2, 2)), "bad"), 7, "items[1].vectors: basis 'bad' is not orthonormal within 1e-09"),
+            (
+                observable(FLAT, "flat"),
+                observable(np.eye(3)),
+                "observable 'flat' has eigenvalue gap 9.313e-10 < 1e-08",
+            ),
+        ],
+    )
+    def test_numeric_failure_in_item_1_beats_structural_in_item_3(self, tmp_path, capsys, first, later, line):
+        code, out, err = measure_error(tmp_path, capsys, [Z_ITEM, first, X_ITEM, later])
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "first, later, line",
+        [
+            ({"type": "thing"}, observable([[0.0, 1.0], [0.0, 0.0]]), "items[1]: unknown item type 'thing'"),
+            (7, basis(np.ones((2, 2))), "items[1]: must be an object"),
+            (observable(np.eye(3)), observable(np.eye(2)), "items[1].matrix: expected shape (2, 2), got (3, 3)"),
+            (
+                {"type": "basis", "label": "b", "vectors": [[1.0, 0.0]]},
+                basis(NEARLY_ORTHOGONAL),
+                "items[1].vectors: expected shape (2, 2), got (1,)",
+            ),
+        ],
+    )
+    def test_structural_failure_in_item_1_beats_numeric_in_item_3(self, tmp_path, capsys, first, later, line):
+        code, out, err = measure_error(tmp_path, capsys, [Z_ITEM, first, X_ITEM, later])
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 class TestMubCommand:
     def test_writes_unbiased_bases(self, tmp_path, capsys):
         target = tmp_path / "bases.json"
@@ -268,6 +371,11 @@ class TestVerifyCommand:
     def test_seed_is_echoed(self, capsys):
         _, out, _ = run(capsys, "verify", "--suite", "map-contracts", "--samples", "5", "--seed", "9")
         assert json.loads(out)["seed"] == 9
+
+    @pytest.mark.parametrize("samples, suite", [("-3", "fidelity-consistency"), ("0", "collision-sum")])
+    def test_samples_below_one_exit_2(self, capsys, samples, suite):
+        code, out, err = run(capsys, "verify", "--samples", samples, "--suite", suite)
+        assert (code, out, err) == (2, "", f"error: --samples must be at least 1, got {samples}\n")
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,8 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from qincompat import InputFormatError, mub_bases
-from qincompat.errors import DegenerateSpectrumError
+from qincompat import InputFormatError, QincompatError, mub_bases
+from qincompat.errors import ConvergenceError, DegenerateSpectrumError
 from qincompat.documents import (
     basis_document,
     dumps,
@@ -18,7 +18,9 @@ from qincompat.documents import (
     parse_observable_set,
     to_pairs,
 )
+from qincompat.observables import eigenbasis_of, eigenbasis_rows
 from qincompat.optimizer import OptimizerConfig, incompatibility
+from conftest import random_hermitian
 
 
 def observable_item(matrix, label="obs"):
@@ -204,3 +206,175 @@ class TestDumps:
         with pytest.raises(TypeError) as stdlib:
             json.dumps(value, indent=2)
         assert str(ours.value) == str(stdlib.value)
+
+
+def reference_fix_phases(rows):
+    """Per-matrix phase fix of the per-item parser: leading amplitude above 1e-12 made real positive."""
+    lead = np.argmax(np.abs(rows) > 1e-12, axis=1)
+    pivot = rows[np.arange(rows.shape[0]), lead]
+    mag = np.abs(pivot)
+    scale = np.where(mag > 0, np.conj(pivot) / np.where(mag > 0, mag, 1.0), 1.0)
+    return rows * scale[:, None]
+
+
+def reference_basis_check(v, tol, label):
+    overlaps = np.abs(v.conj() @ v.T) ** 2
+    if not np.max(np.abs(overlaps - np.eye(v.shape[0]))) <= tol:
+        raise ValueError(f"basis {label!r} is not orthonormal within {tol:g}")
+    if not np.linalg.norm(v.T @ v.conj() - np.eye(v.shape[0])) <= tol:
+        raise ValueError(f"basis {label!r} does not resolve the identity within {tol:g}")
+
+
+def reference_eigenbasis(m, degeneracy_tol, label):
+    """The per-matrix eigenbasis_of that the batched pass replaced: one eigh and its checks."""
+    hermitian = (m + m.conj().T) / 2
+    vals, vecs = np.linalg.eigh(hermitian)
+    order = np.argsort(-vals, kind="stable")
+    vals = np.ascontiguousarray(vals[order])
+    vecs = np.ascontiguousarray(reference_fix_phases(vecs[:, order].T).T)
+    if np.linalg.norm(vecs.conj().T @ vecs - np.eye(m.shape[0])) > 1e-10:
+        raise ConvergenceError("eigenvectors lost orthonormality")
+    if np.linalg.norm((vecs * vals) @ vecs.conj().T - hermitian) > 1e-9 * max(1.0, np.linalg.norm(m)):
+        raise ConvergenceError("eigendecomposition does not reproduce the input")
+    gaps = -np.diff(vals)
+    if gaps.size and float(np.min(gaps)) < degeneracy_tol:
+        raise DegenerateSpectrumError(
+            f"observable {label!r} has eigenvalue gap {float(np.min(gaps)):.3e} < {degeneracy_tol:g}"
+        )
+    rows = np.array(vecs.T.copy(), dtype=complex)
+    reference_basis_check(rows, 1e-10, label)
+    return rows
+
+
+def reference_parse(doc, degeneracy_tol=1e-8):
+    """The per-item parser that the batched pass replaced: [(label, rows)] per item, or its error."""
+    dim, items = doc["dim"], doc["items"]
+    parsed = []
+    for idx, item in enumerate(items):
+        where = f"items[{idx}]"
+        if not isinstance(item, dict):
+            raise InputFormatError(f"{where}: must be an object")
+        kind = item.get("type")
+        label = str(item.get("label", f"item-{idx}"))
+        if kind == "observable":
+            matrix = from_pairs(item.get("matrix"), f"{where}.matrix")
+            if matrix.shape != (dim, dim):
+                raise InputFormatError(f"{where}.matrix: expected shape ({dim}, {dim}), got {matrix.shape}")
+            if not np.linalg.norm(matrix - matrix.conj().T) <= 1e-9 * np.linalg.norm(matrix):
+                raise InputFormatError(f"{where}.matrix: not Hermitian within 1e-09")
+            parsed.append((label, reference_eigenbasis(matrix, degeneracy_tol, label)))
+        elif kind == "basis":
+            vectors = from_pairs(item.get("vectors"), f"{where}.vectors")
+            if vectors.shape != (dim, dim):
+                raise InputFormatError(f"{where}.vectors: expected shape ({dim}, {dim}), got {vectors.shape}")
+            try:
+                reference_basis_check(vectors, 1e-9, label)
+            except ValueError as exc:
+                raise InputFormatError(f"{where}.vectors: {exc}") from exc
+            parsed.append((label, np.array(vectors, dtype=complex)))
+        else:
+            raise InputFormatError(f"{where}: unknown item type {kind!r}")
+    return parsed
+
+
+def outcome(parse, doc):
+    """What a parser makes of a document: its error's type and text, or each member's label and bytes."""
+    try:
+        result = parse(doc)
+    except QincompatError as exc:
+        return type(exc), str(exc)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    members = result if isinstance(result, list) else [(b.label, b.vectors) for b in result.members]
+    return [(label, rows.shape, rows.tobytes()) for label, rows in members]
+
+
+def random_items(dim, count, rng):
+    """Observable and basis items of random nondegenerate Hermitian matrices and their eigenbases."""
+    items = []
+    for i in range(count):
+        h = random_hermitian(dim, rng)
+        if rng.random() < 0.6:
+            items.append(observable_item(h, f"o{i}"))
+        else:
+            vectors = np.linalg.eigh(h)[1].T
+            items.append({"type": "basis", "label": f"b{i}", "vectors": to_pairs(vectors)})
+    return items
+
+
+def corrupt(item, kind, dim, rng):
+    """One item broken in the way ``kind`` names."""
+    field = "matrix" if item["type"] == "observable" else "vectors"
+    if kind == "not-object":
+        return [item]
+    if kind == "unknown-type":
+        return {**item, "type": "thing"}
+    if kind == "missing-field":
+        return {"type": item["type"], "label": item["label"]}
+    if kind == "non-pair":
+        return {**item, field: [[[1.0, 0.0, 0.0]] * dim] * dim}
+    if kind == "ragged":
+        return {**item, field: item[field][:-1] + [item[field][-1][:-1]]}
+    if kind == "wrong-shape":
+        return {**item, field: to_pairs(np.eye(dim + 1))}
+    if kind == "non-finite":
+        broken = json.loads(json.dumps(item))
+        i, j, part = rng.integers(dim), rng.integers(dim), rng.integers(2)
+        broken[field][i][j][part] = float(rng.choice([math.nan, math.inf]))
+        return broken
+    if kind == "non-hermitian":
+        return observable_item(np.triu(np.ones((dim, dim))), item["label"])
+    if kind == "degenerate":
+        return observable_item(np.diag([1.0] * 2 + list(range(2, dim))), item["label"])
+    if kind == "non-orthonormal":
+        return {"type": "basis", "label": item["label"], "vectors": to_pairs(np.ones((dim, dim)))}
+    if kind == "incomplete":
+        skew = np.eye(dim, dtype=complex)
+        skew[1, 0] = 1e-5
+        skew[1, 1] = np.sqrt(1.0 - 1e-10)
+        return {"type": "basis", "label": item["label"], "vectors": to_pairs(skew)}
+    raise ValueError(kind)
+
+
+CORRUPTIONS = [
+    "not-object", "unknown-type", "missing-field", "non-pair", "ragged", "wrong-shape",
+    "non-finite", "non-hermitian", "degenerate", "non-orthonormal", "incomplete",
+]
+
+
+class TestBatchedParseMatchesPerItemParser:
+    """parse_observable_set against the per-item parser it replaced: same bits, same first error."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_same_eigenbasis_bits(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(10):
+            doc = {"dim": dim, "items": random_items(dim, int(rng.integers(1, 7)), rng)}
+            expected = outcome(reference_parse, doc)
+            assert isinstance(expected, list)
+            assert outcome(parse_observable_set, doc) == expected
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_eigenbasis_of_is_a_row_of_the_batch(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        stack = np.stack([random_hermitian(dim, rng) for _ in range(6)])
+        rows, failures = eigenbasis_rows(stack, 1e-8, [""] * len(stack))
+        assert failures == {}
+        for i, matrix in enumerate(stack):
+            one = eigenbasis_of(matrix)
+            assert one.vectors.tobytes() == rows[i].tobytes()
+            assert one.vectors.tobytes() == reference_eigenbasis(matrix, 1e-8, "").tobytes()
+
+    def test_same_first_error_on_corrupted_documents(self):
+        rng = np.random.default_rng(300)
+        kinds_seen = set()
+        for _ in range(400):
+            dim = int(rng.integers(2, 6))
+            items = random_items(dim, int(rng.integers(1, 6)), rng)
+            for at in rng.choice(len(items), size=int(rng.integers(1, min(2, len(items)) + 1)), replace=False):
+                kind = str(rng.choice(CORRUPTIONS))
+                items[at] = corrupt(items[at], kind, dim, rng)
+                kinds_seen.add(kind)
+            doc = {"dim": dim, "items": items}
+            assert outcome(parse_observable_set, doc) == outcome(reference_parse, doc)
+        assert kinds_seen == set(CORRUPTIONS)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qincompat import ObservableSet, mub_bases
+from qincompat import ObservableSet, linalg, mub_bases
 from qincompat.errors import DimensionMismatchError, OutcomeCountMismatchError
 from qincompat.fidelity import (
     Povm,
@@ -16,7 +16,7 @@ from qincompat.fidelity import (
     random_povm,
 )
 from qincompat.observables import signal_ensemble
-from conftest import random_density, random_ensemble, rotated_qubit_basis
+from conftest import one_random_povm, random_density, random_ensemble, rotated_qubit_basis
 
 ZX_ENSEMBLE = signal_ensemble(mub_bases(2, 2))
 ZXY_ENSEMBLE = signal_ensemble(mub_bases(2, 3))
@@ -37,7 +37,7 @@ class TestPovmValidation:
         np.testing.assert_allclose(resolution, np.eye(3), atol=1e-12)
 
     def test_weights_sum_to_dimension(self, rng):
-        povm = random_povm(3, 9, rng)
+        povm = one_random_povm(3, 9, rng)
         assert float(np.sum(povm.weights)) == pytest.approx(3.0, abs=1e-12)
 
     def test_rejects_incomplete(self):
@@ -65,7 +65,7 @@ class TestPovmValidation:
 
     def test_random_povm_needs_enough_outcomes(self, rng):
         with pytest.raises(ValueError):
-            random_povm(3, 2, rng)
+            random_povm(3, 2, [rng])
 
 
 class TestReconstructionValidation:
@@ -104,13 +104,13 @@ class TestAverageFidelity:
     def test_maximally_mixed_resend_scores_one_over_d(self, rng):
         for dim, count in [(2, 2), (3, 2), (4, 3)]:
             ens = random_ensemble(dim, count, rng)
-            povm = random_povm(dim, dim * dim, rng)
+            povm = one_random_povm(dim, dim * dim, rng)
             recon = ReconstructionMap(states=np.stack([np.eye(dim) / dim] * povm.n_outcomes))
             assert average_fidelity(ens, povm, recon) == pytest.approx(1.0 / dim, abs=1e-12)
 
     def test_outcome_count_mismatch(self):
         recon = resend_basis_states(np.eye(2, dtype=complex))
-        povm3 = random_povm(2, 3, np.random.default_rng(0))
+        povm3 = one_random_povm(2, 3, np.random.default_rng(0))
         with pytest.raises(OutcomeCountMismatchError):
             average_fidelity(ZX_ENSEMBLE, povm3, recon)
 
@@ -159,7 +159,7 @@ class TestOptimalReconstruction:
 
     def test_degenerate_top_is_deterministic(self):
         ens = signal_ensemble(mub_bases(3, 4))  # complete set: flat spectrum everywhere
-        povm = random_povm(3, 4, np.random.default_rng(5))
+        povm = one_random_povm(3, 4, np.random.default_rng(5))
         a = optimal_reconstruction(ens, povm)
         b = optimal_reconstruction(ens, povm)
         assert np.array_equal(a.states, b.states)
@@ -167,7 +167,7 @@ class TestOptimalReconstruction:
     def test_never_beaten_by_other_reconstructions(self, rng):
         for _ in range(10):
             ens = random_ensemble(2, 2, rng)
-            povm = random_povm(2, 4, rng)
+            povm = one_random_povm(2, 4, rng)
             best = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))
             rival = ReconstructionMap(
                 states=np.stack([random_density(2, rng) for _ in range(povm.n_outcomes)])
@@ -200,14 +200,14 @@ class TestAchievableFidelity:
     def test_breakdown_sums_to_value(self, rng):
         # the value is the sum over outcomes of m_a * lambda_max(Phi(chi_a))
         ens = random_ensemble(3, 2, rng)
-        povm = random_povm(3, 9, rng)
+        povm = one_random_povm(3, 9, rng)
         terms = povm.weights * top_eigenvalues(ens, povm)
         assert achievable_fidelity(ens, povm) == pytest.approx(float(np.sum(terms)), abs=1e-12)
 
     def test_values_stay_in_range(self, rng):
         for _ in range(20):
             ens = random_ensemble(2, 3, rng)
-            povm = random_povm(2, 4, rng)
+            povm = one_random_povm(2, 4, rng)
             value = achievable_fidelity(ens, povm)
             assert 0.5 - 1e-10 <= value <= 1.0 + 1e-10
 
@@ -219,7 +219,7 @@ class TestRouteConsistency:
         for _ in range(50):
             count = int(rng.integers(1, 4))
             ens = random_ensemble(dim, count, rng)
-            povm = random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
+            povm = one_random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
             eig_form = achievable_fidelity(ens, povm)
             overlap_form = achievable_fidelity_overlap_form(ens, povm)
             explicit = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))
@@ -273,3 +273,45 @@ class TestProjectiveStrategyFidelity:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             projective_strategy_fidelity(ZX_ENSEMBLE, 2)
+
+
+def reference_random_povm(dim, n_outcomes, rng):
+    """The one-start-at-a-time builder that random_povm's batch replaced: (weights, directions)."""
+    x = linalg.random_unit_vectors(n_outcomes, dim, rng)
+    w = np.einsum("ai,aj->ij", x, x.conj())
+    vals, vecs = np.linalg.eigh(w)
+    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    y = x @ inv_root.T
+    norms = np.linalg.norm(y, axis=1)
+    return norms**2, y / norms[:, None]
+
+
+class TestRandomPovmBatch:
+    """All random starts built in one batch carry the bits of building each alone."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_same_bits_and_stream_as_one_start_at_a_time(self, dim):
+        for seed in range(20):
+            for n_outcomes in (dim, dim * dim):
+                batched = [np.random.default_rng((seed, r)) for r in range(4)]
+                looped = [np.random.default_rng((seed, r)) for r in range(4)]
+                weights, directions = random_povm(dim, n_outcomes, batched)
+                for r, rng in enumerate(looped):
+                    w, x = reference_random_povm(dim, n_outcomes, rng)
+                    assert weights[r].tobytes() == w.tobytes(), (dim, seed, r)
+                    assert directions[r].tobytes() == x.tobytes(), (dim, seed, r)
+                    assert batched[r].bit_generator.state == rng.bit_generator.state
+
+    def test_every_start_is_a_valid_povm(self, rng):
+        weights, directions = random_povm(3, 9, [rng, np.random.default_rng(1)])
+        assert weights.shape == (2, 9) and directions.shape == (2, 9, 3)
+        for w, x in zip(weights, directions):
+            Povm(3, w, x)
+
+    def test_one_bad_start_fails_the_batch(self, monkeypatch):
+        def collinear(count, dim, rng):
+            return np.tile(np.eye(dim, dtype=complex)[:1], (count, 1))
+
+        monkeypatch.setattr(linalg, "random_unit_vectors", collinear)
+        with pytest.raises(ValueError, match="do not span"):
+            random_povm(2, 4, [np.random.default_rng(0)])

@@ -2,83 +2,118 @@ import numpy as np
 import pytest
 
 from qincompat import linalg
-from qincompat.errors import DimensionMismatchError, NotHermitianError
-from qincompat.linalg import herm_eig, projector, random_unit_vector
+from qincompat.errors import ConvergenceError, DimensionMismatchError, NotHermitianError
+from qincompat.linalg import herm_eigs, projector, random_unit_vector
 from conftest import random_hermitian
+
+
+def herm_eig(matrix):
+    """herm_eigs on a stack of one: (eigenvalues, eigenvectors as columns), raising its failure."""
+    values, rows, failures = herm_eigs(np.asarray(matrix, dtype=complex)[None])
+    if failures:
+        raise failures[0]
+    return values[0], rows[0].T
+
+
+def reconstruct(values, vectors):
+    return (vectors * values) @ vectors.conj().T
 
 
 class TestHermEig:
     def test_identity(self):
-        eig = herm_eig(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 1.0, 1.0])
+        values, _ = herm_eig(np.eye(3, dtype=complex))
+        np.testing.assert_allclose(values, [1.0, 1.0, 1.0])
 
     def test_already_diagonal(self):
-        eig = herm_eig(np.diag([1.0, -1.0]).astype(complex))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, -1.0])
-        np.testing.assert_allclose(np.abs(eig.eigenvectors), np.eye(2), atol=1e-14)
+        values, vectors = herm_eig(np.diag([1.0, -1.0]).astype(complex))
+        np.testing.assert_allclose(values, [1.0, -1.0])
+        np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-14)
         # descending order puts +1 first
-        assert eig.eigenvectors[0, 0] == pytest.approx(1.0)
+        assert vectors[0, 0] == pytest.approx(1.0)
 
     def test_reconstruction_residual(self):
         h = random_hermitian(4, np.random.default_rng(7))
-        eig = herm_eig(h)
-        assert np.linalg.norm(eig.reconstruct() - h) < 1e-9
+        assert np.linalg.norm(reconstruct(*herm_eig(h)) - h) < 1e-9
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        message = r"deviates from Hermitian by 1\.414e\+00 \(relative tol 1e-09\)"
+        with pytest.raises(NotHermitianError, match=message):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            herm_eig(np.zeros((2, 3)))
+            herm_eigs(np.zeros((1, 2, 3)))
 
     def test_deterministic(self):
         h = random_hermitian(5, np.random.default_rng(3))
-        a, b = herm_eig(h), herm_eig(h)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        (a_values, a_vectors), (b_values, b_vectors) = herm_eig(h), herm_eig(h)
+        assert np.array_equal(a_values, b_values)
+        assert np.array_equal(a_vectors, b_vectors)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9])
     def test_invariants_on_random_inputs(self, dim):
         rng = np.random.default_rng(dim)
-        for _ in range(20):
-            h = random_hermitian(dim, rng)
-            eig = herm_eig(h)
-            gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+        stack = np.stack([random_hermitian(dim, rng) for _ in range(20)])
+        values, rows, failures = herm_eigs(stack)
+        assert failures == {}
+        for h, vals, vecs in zip(stack, values, rows.swapaxes(1, 2)):
+            gram = vecs.conj().T @ vecs
             assert np.linalg.norm(gram - np.eye(dim)) <= 1e-10
-            assert np.linalg.norm(eig.reconstruct() - h) <= 1e-9
-            assert np.all(np.diff(eig.eigenvalues) <= 0)
-            for column in eig.eigenvectors.T:
+            assert np.linalg.norm(reconstruct(vals, vecs) - h) <= 1e-9
+            assert np.all(np.diff(vals) <= 0)
+            for column in vecs.T:
                 lead = column[np.argmax(np.abs(column) > 1e-12)]
                 assert lead.real > 0 and abs(lead.imag) < 1e-12
 
+    def test_each_entry_names_its_first_failed_check(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        stack[1, 0, 2] += 1.0  # not Hermitian
+        stuck = stack[3].copy()
+        original = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            if any(np.array_equal(m, stuck) for m in np.reshape(a, (-1, 3, 3))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        values, rows, failures = herm_eigs(stack)
+        assert sorted(failures) == [1, 3]
+        assert isinstance(failures[1], NotHermitianError)
+        assert isinstance(failures[3], ConvergenceError)
+        assert str(failures[3]) == "eigensolver did not converge: Eigenvalues did not converge"
+        # the entries the solver handles keep their factors
+        expected, _, _ = herm_eigs(stack[[0, 2]])
+        assert np.array_equal(values[[0, 2]], expected)
+
 
 class TestMaxEig:
-    """The largest eigenpair: herm_eig's first eigenvalue and column."""
+    """The largest eigenpair: herm_eigs's first eigenvalue and row."""
 
     def test_simple_diagonal(self):
-        eig = herm_eig(np.diag([0.2, 0.8]).astype(complex))
-        assert eig.eigenvalues[0] == pytest.approx(0.8)
-        np.testing.assert_allclose(eig.eigenvectors[:, 0], [0.0, 1.0], atol=1e-14)
+        values, vectors = herm_eig(np.diag([0.2, 0.8]).astype(complex))
+        assert values[0] == pytest.approx(0.8)
+        np.testing.assert_allclose(vectors[:, 0], [0.0, 1.0], atol=1e-14)
 
     def test_fully_degenerate_is_deterministic(self):
-        eig = herm_eig(0.5 * np.eye(2, dtype=complex))
-        assert eig.eigenvalues[0] == pytest.approx(0.5)
-        again = herm_eig(0.5 * np.eye(2, dtype=complex))
-        assert np.array_equal(eig.eigenvectors[:, 0], again.eigenvectors[:, 0])
+        values, vectors = herm_eig(0.5 * np.eye(2, dtype=complex))
+        assert values[0] == pytest.approx(0.5)
+        _, again = herm_eig(0.5 * np.eye(2, dtype=complex))
+        assert np.array_equal(vectors[:, 0], again[:, 0])
 
     def test_intercepted_state_average(self):
         # measuring |0><0| against the Z and X bases leaves the average
         # post-measurement state (1/2)(diag(1,0) + I/2) = diag(3/4, 1/4)
         rho = 0.5 * (np.diag([1.0, 0.0]) + np.eye(2) / 2)
-        eig = herm_eig(rho.astype(complex))
-        assert eig.eigenvalues[0] == pytest.approx(0.75, abs=1e-14)
-        np.testing.assert_allclose(eig.eigenvectors[:, 0], [1.0, 0.0], atol=1e-14)
+        values, vectors = herm_eig(rho.astype(complex))
+        assert values[0] == pytest.approx(0.75, abs=1e-14)
+        np.testing.assert_allclose(vectors[:, 0], [1.0, 0.0], atol=1e-14)
 
     def test_matches_herm_eig_exactly(self, rng):
-        # the see-saw's batched top eigenvalue is herm_eig's largest, bit for bit
+        # the see-saw's batched top eigenvalue is herm_eigs's largest, bit for bit
         h = random_hermitian(6, rng)
-        eigenvalues = herm_eig(h).eigenvalues
+        eigenvalues, _ = herm_eig(h)
         value, _ = linalg.batched_top_eig(h[None])
         assert value[0] == eigenvalues[0] == np.max(eigenvalues)
 

@@ -15,7 +15,6 @@ from qincompat.fidelity import (
     achievable_fidelity,
     average_fidelity,
     projective_povm,
-    random_povm,
 )
 from qincompat.observables import signal_ensemble
 from qincompat.optimizer import (
@@ -25,7 +24,7 @@ from qincompat.optimizer import (
     q_upper_bounds,
     see_saw,
 )
-from conftest import qubit_fidelity_optimum, random_ensemble, rotated_qubit_basis
+from conftest import one_random_povm, qubit_fidelity_optimum, random_ensemble, rotated_qubit_basis
 
 FAST = OptimizerConfig(restarts=4, seed=0)
 
@@ -82,7 +81,7 @@ def search_starts(ens, config):
     starts = [projective_povm(Eigenbasis(v)) for v in ens.vectors]
     for restart in range(config.restarts):
         rng = np.random.default_rng((config.seed, restart))
-        starts.append(random_povm(ens.dim, config.n_outcomes(ens.dim), rng))
+        starts.append(one_random_povm(ens.dim, config.n_outcomes(ens.dim), rng))
     return starts
 
 
@@ -169,7 +168,7 @@ class TestUpdateOperator:
 class TestSeeSaw:
     def test_single_basis_converges_to_one(self):
         ens = signal_ensemble(mub_bases(3, 1))
-        start = random_povm(3, 9, np.random.default_rng(1))
+        start = one_random_povm(3, 9, np.random.default_rng(1))
         result = see_saw(ens, start)
         assert result.fidelity == pytest.approx(1.0, abs=1e-8)
 
@@ -187,14 +186,14 @@ class TestSeeSaw:
     def test_trace_is_monotone(self, rng):
         for _ in range(5):
             ens = random_ensemble(2, 2, rng)
-            start = random_povm(2, 4, rng)
+            start = one_random_povm(2, 4, rng)
             result = see_saw(ens, start)
             gains = np.diff(result.fidelity_trace)
             assert np.all(gains >= -1e-12)
 
     def test_final_triple_is_consistent(self, rng):
         ens = random_ensemble(3, 2, rng)
-        result = see_saw(ens, random_povm(3, 9, rng))
+        result = see_saw(ens, one_random_povm(3, 9, rng))
         replay = average_fidelity(ens, result.povm, result.reconstruction)
         assert abs(replay - result.fidelity) <= 1e-10
         assert abs(achievable_fidelity(ens, result.povm) - result.fidelity) <= 1e-10
