@@ -16,7 +16,9 @@ codes: 0 success, 2 input or validation error, 3 violated bound certificate.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import sys
 import time
 
@@ -25,6 +27,7 @@ from .entropic import entropic_report
 from .errors import BoundViolationError, InputFormatError, QincompatError
 from .observables import is_mutually_unbiased, mub_bases
 from .optimizer import OptimizerConfig, fuchs_lower_bound, incompatibility, q_upper_bounds
+from .tolerances import WEIGHT_PRUNE_EPS
 
 VALIDATION_EXIT = 2
 BOUND_EXIT = 3
@@ -32,10 +35,12 @@ BOUND_EXIT = 3
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
-    parser.add_argument("--restarts", type=int, default=16, help="random see-saw restarts")
+    parser.add_argument("--restarts", type=int, default=OptimizerConfig.restarts, help="random see-saw restarts")
     parser.add_argument("--outcomes", type=int, default=None, help="outcomes of random starting POVMs (default d^2)")
-    parser.add_argument("--tol", type=float, default=1e-10, help="see-saw convergence threshold")
-    parser.add_argument("--max-iters", type=int, default=2000, help="see-saw sweep cap")
+    parser.add_argument(
+        "--tol", type=float, default=OptimizerConfig.convergence_eps, help="see-saw convergence threshold"
+    )
+    parser.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters, help="see-saw sweep cap")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -60,7 +65,7 @@ def _config_echo(config: OptimizerConfig) -> dict:
         "outcomes": config.outcomes,
         "max_iters": config.max_iters,
         "convergence_eps": config.convergence_eps,
-        "weight_prune_eps": config.weight_prune_eps,
+        "weight_prune_eps": WEIGHT_PRUNE_EPS,
     }
 
 
@@ -79,9 +84,11 @@ def _emit(doc: dict, args: argparse.Namespace, out: str | None = None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "csv":
         flat = _flatten_scalars(doc)
-        header = ",".join(flat)
-        row = ",".join(repr(v) if isinstance(v, float) else str(v) for v in flat.values())
-        text = header + "\n" + row + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(flat)
+        writer.writerow(repr(v) if isinstance(v, float) else str(v) for v in flat.values())
+        text = buffer.getvalue()
     else:
         text = documents.dumps(doc) + "\n"
     if out:
@@ -117,7 +124,7 @@ def _run_measure(args: argparse.Namespace) -> int:
 def _run_mub(args: argparse.Namespace) -> int:
     started = time.monotonic()
     obs = mub_bases(args.dim, args.n_bases)
-    if not is_mutually_unbiased(obs, 1e-10):
+    if not is_mutually_unbiased(obs):
         raise QincompatError("constructed bases failed the unbiasedness self-check")
     basis_doc = documents.basis_document(obs)
     with open(args.out, "w", encoding="utf-8") as handle:

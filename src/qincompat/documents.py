@@ -27,10 +27,10 @@ import numpy as np
 from . import linalg
 from .errors import InputFormatError, NotHermitianError
 from .fidelity import Povm, ReconstructionMap
-from .observables import BASIS_GRAM_TOL, Eigenbasis, ObservableSet, basis_checks, eigenbasis_rows
+from .observables import Eigenbasis, ObservableSet, basis_checks, eigenbasis_rows
 from .optimizer import IncompatibilityReport
+from .tolerances import BASIS_GRAM_TOL, HERMITICITY_TOL, INPUT_BASIS_TOL
 
-INPUT_BASIS_TOL = 1e-9
 # the field that holds each item type's (d, d) array of [re, im] pairs
 _ITEM_FIELDS = {"observable": "matrix", "basis": "vectors"}
 
@@ -225,7 +225,7 @@ def _item_arrays(raw: list, fields: list[str], dim: int) -> tuple[np.ndarray, In
     return np.array(arrays, dtype=complex).reshape(-1, dim, dim), error
 
 
-def parse_observable_set(doc: dict, degeneracy_tol: float = 1e-8) -> ObservableSet:
+def parse_observable_set(doc: dict) -> ObservableSet:
     """Validate a parsed input document and build the observable set.
 
     Matrices must be Hermitian within 1e-9 and basis vectors orthonormal
@@ -266,12 +266,12 @@ def parse_observable_set(doc: dict, degeneracy_tol: float = 1e-8) -> ObservableS
     tol = np.full(len(rows), INPUT_BASIS_TOL)
     failures: dict[int, Exception] = {}
     if at:
-        rows[at], found = eigenbasis_rows(rows[at], degeneracy_tol, [labels[k] for k in at])
+        rows[at], found = eigenbasis_rows(rows[at], [labels[k] for k in at])
         tol[at] = BASIS_GRAM_TOL
         for j, exc in found.items():
             k = at[j]
             if isinstance(exc, NotHermitianError):
-                exc = InputFormatError(f"items[{k}].matrix: not Hermitian within {linalg.HERMITICITY_TOL:g}")
+                exc = InputFormatError(f"items[{k}].matrix: not Hermitian within {HERMITICITY_TOL:g}")
             failures[k] = exc
     for k, exc in linalg.first_failures(*basis_checks(rows, tol, labels)).items():
         if k in failures:

@@ -23,12 +23,13 @@ from .errors import DimensionMismatchError, QincompatError
 from .linalg import projector
 from .observables import Eigenbasis, ObservableSet, commutes
 from .optimizer import OptimizerConfig, incompatibility
-
-PROB_FLOOR = 1e-15
-
-# Bounds below this are treated as vacuous: c is then within roundoff of 1,
-# which on the test corpus happens exactly when the pair shares an eigenvector.
-VACUOUS_TOL = 1e-9
+from .tolerances import (
+    DEMO_ENTROPY_TOL,
+    DEMO_MIN_INCOMPATIBILITY,
+    PROB_FLOOR,
+    SHARED_VECTOR_TOL,
+    VACUOUS_TOL,
+)
 
 
 class Verdict(enum.Enum):
@@ -141,17 +142,17 @@ def entropic_failure_demo(dim: int, config: OptimizerConfig | None = None) -> En
     """
     a, b = shared_eigenvector_pair(dim)
     shared = abs(np.vdot(a.vectors[0], b.vectors[0])) ** 2
-    if abs(shared - 1.0) > 1e-12:
+    if abs(shared - 1.0) > SHARED_VECTOR_TOL:
         raise QincompatError("construction lost the shared eigenvector")
 
     report = entropic_report(a, b, config)
-    if report.entropy_bound > 1e-12:
+    if report.entropy_bound > DEMO_ENTROPY_TOL:
         raise QincompatError(f"expected a vacuous bound, got {report.entropy_bound!r}")
-    if report.entropy_sum_at_witness > 1e-12:
+    if report.entropy_sum_at_witness > DEMO_ENTROPY_TOL:
         raise QincompatError(
             f"expected zero entropy sum at the witness, got {report.entropy_sum_at_witness!r}"
         )
-    if report.incompatibility <= 1e-3:
+    if report.incompatibility <= DEMO_MIN_INCOMPATIBILITY:
         raise QincompatError(
             f"expected strictly positive incompatibility, got {report.incompatibility!r}"
         )

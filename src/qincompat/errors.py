@@ -33,10 +33,6 @@ class TooManyBasesError(QincompatError):
     """Requested more mutually unbiased bases than the dimension supports."""
 
 
-class NotMutuallyUnbiasedError(QincompatError):
-    """Operation is only defined for mutually unbiased bases."""
-
-
 class OutcomeCountMismatchError(QincompatError):
     """A reconstruction map does not match the measurement's outcome count."""
 

@@ -26,11 +26,16 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, OutcomeCountMismatchError
-from .observables import Eigenbasis, SignalEnsemble
-
-COMPLETENESS_TOL = 1e-9
-DENSITY_TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+from .observables import SignalEnsemble
+from .tolerances import (
+    COMPLETENESS_TOL,
+    DENSITY_TRACE_TOL,
+    DIRECTION_NORM_TOL,
+    FRAME_FLOOR,
+    INPUT_TRACE_TOL,
+    PSD_TOL,
+    RESEND_HERMITICITY_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def _check_povms(dim: int, weights: np.ndarray, directions: np.ndarray) -> None:
     if np.any(weights <= 0):
         raise ValueError("all POVM weights must be strictly positive")
     norms = np.linalg.norm(directions, axis=2)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
+    if np.max(np.abs(norms - 1.0)) > DIRECTION_NORM_TOL:
         raise ValueError("POVM directions must be unit vectors")
     resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
     if np.any(linalg.frobenius_norms(resolution - np.eye(dim)) > COMPLETENESS_TOL):
@@ -99,7 +104,7 @@ class ReconstructionMap:
         if not np.all(np.isfinite(s)):
             raise ValueError("reconstruction states must be finite")
         herm = np.max(np.abs(s - s.conj().transpose(0, 2, 1)))
-        if herm > 1e-9:
+        if herm > RESEND_HERMITICITY_TOL:
             raise ValueError("reconstruction states must be Hermitian")
         traces = np.einsum("aii->a", s).real
         if np.max(np.abs(traces - 1.0)) > DENSITY_TRACE_TOL:
@@ -152,7 +157,7 @@ def ensemble_map(ens: SignalEnsemble, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"expected a ({ens.dim}, {ens.dim}) state, got {m.shape}")
     if not linalg.is_hermitian(m):
         raise ValueError("input state must be Hermitian")
-    if abs(complex(np.trace(m)).real - 1.0) > 1e-9:
+    if abs(complex(np.trace(m)).real - 1.0) > INPUT_TRACE_TOL:
         raise ValueError("input state must have unit trace")
     probs = np.einsum("ki,ij,kj->k", ens.kets.conj(), m, ens.kets).real
     return _phi_batch(ens, probs)
@@ -220,29 +225,6 @@ def achievable_fidelity_overlap_form(ens: SignalEnsemble, povm: Povm) -> float:
     return float(np.sum(povm.weights * per_outcome)) / ens.n_states
 
 
-def projective_strategy_fidelity(ens: SignalEnsemble, basis_index: int) -> float:
-    """Average fidelity of the simplest projective strategy.
-
-    Measure in basis ``basis_index`` of the ensemble and resend the outcome's
-    basis vector. Evaluates to (1/Nd) sum over states k and outcomes l of
-    Tr(P_k B_l)^2, which is bounded below by (N + d - 1)/(N d) for any
-    ensemble built from orthonormal bases.
-    """
-    if not 0 <= basis_index < ens.n_bases:
-        raise IndexError(f"basis index {basis_index} out of range for {ens.n_bases} bases")
-    overlaps = _signal_overlaps(ens, ens.vectors[basis_index])
-    return float(np.sum(overlaps**2)) / ens.n_states
-
-
-def projective_povm(basis: Eigenbasis) -> Povm:
-    """The von Neumann measurement in the given basis as a rank-1 POVM."""
-    return Povm(
-        dim=basis.dim,
-        weights=np.ones(basis.dim),
-        directions=basis.vectors.copy(),
-    )
-
-
 def random_povm(dim: int, n_outcomes: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Random rank-1 POVMs, one per generator: Haar directions symmetrized to completeness.
 
@@ -258,7 +240,7 @@ def random_povm(dim: int, n_outcomes: int, rngs) -> tuple[np.ndarray, np.ndarray
     x = np.stack([linalg.random_unit_vectors(n_outcomes, dim, rng) for rng in rngs])
     w = np.einsum("rai,raj->rij", x, x.conj())
     vals, vecs = np.linalg.eigh(w)
-    if np.any(vals[:, 0] < 1e-12):
+    if np.any(vals[:, 0] < FRAME_FLOOR):
         raise ValueError("sampled directions do not span the space; try more outcomes")
     inv_root = (vecs * (1.0 / np.sqrt(vals))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     y = x @ inv_root.swapaxes(1, 2)

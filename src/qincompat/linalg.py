@@ -12,20 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, NotHermitianError
+from .tolerances import (
+    EIGENVECTOR_GRAM_TOL,
+    HERMITICITY_TOL,
+    PHASE_FLOOR,
+    RECONSTRUCTION_TOL,
+    UNIT_NORM_TOL,
+    WARM_CERTIFICATE_SHIFT,
+    WARM_RESIDUAL_TOL,
+)
 
-# Tolerances are relative to Frobenius norms; operators here are unit scale.
-HERMITICITY_TOL = 1e-9
-GRAM_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
-UNIT_NORM_TOL = 1e-12
-# A warm top eigenpair is accepted when ||Phi y - rho y|| <= WARM_RESIDUAL_TOL * tr Phi
-# and (rho + WARM_CERTIFICATE_SHIFT * tr Phi) I - Phi has a Cholesky factor.
-WARM_RESIDUAL_TOL = 1e-10
-WARM_CERTIFICATE_SHIFT = 1e-13
 # Below this dimension one eigh is cheaper than the warm step and its checks.
 WARM_MIN_DIM = 6
-
-_PHASE_FLOOR = 1e-12
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -38,9 +36,9 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt((stack * stack.conj()).real.sum(axis=(-2, -1)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True when ||A - A^dagger||_F <= tol * ||A||_F. The zero matrix passes."""
-    return frobenius_norm(a - a.conj().T) <= tol * frobenius_norm(a)
+def is_hermitian(a: np.ndarray) -> bool:
+    """True when ||A - A^dagger||_F <= HERMITICITY_TOL * ||A||_F. The zero matrix passes."""
+    return frobenius_norm(a - a.conj().T) <= HERMITICITY_TOL * frobenius_norm(a)
 
 
 def fix_phases(rows: np.ndarray) -> np.ndarray:
@@ -51,7 +49,7 @@ def fix_phases(rows: np.ndarray) -> np.ndarray:
     are returned unchanged.
     """
     flat = rows.reshape(-1, rows.shape[-1])
-    pivot = flat[np.arange(flat.shape[0]), (np.abs(flat) > _PHASE_FLOOR).argmax(axis=1)]
+    pivot = flat[np.arange(flat.shape[0]), (np.abs(flat) > PHASE_FLOOR).argmax(axis=1)]
     mag = np.abs(pivot)
     scale = np.where(mag > 0, np.conj(pivot) / np.where(mag > 0, mag, 1.0), 1.0)
     return (flat * scale[:, None]).reshape(rows.shape)
@@ -130,7 +128,7 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
         (
             ~(asymmetry <= HERMITICITY_TOL * scale),
             diverged,
-            gram_error > GRAM_TOL,
+            gram_error > EIGENVECTOR_GRAM_TOL,
             residual > RECONSTRUCTION_TOL * np.maximum(1.0, scale),
         ),
         (

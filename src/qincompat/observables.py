@@ -9,7 +9,7 @@ not unique for them; callers that know the basis they want can construct an
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,13 +22,7 @@ from .errors import (
     NoValidSubsetError,
     TooManyBasesError,
 )
-
-# Absolute tolerance on Frobenius norms of projector commutators; projectors
-# are unit scale, so no relative scaling is needed.
-COMMUTATION_TOL = 1e-9
-
-BASIS_GRAM_TOL = 1e-10
-DEGENERACY_TOL = 1e-8
+from .tolerances import BASIS_GRAM_TOL, COMMUTATION_TOL, DEGENERACY_TOL, MUB_TOL, STATE_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -37,19 +31,18 @@ class Eigenbasis:
 
     ``vectors`` is a (d, d) complex array whose row j is the j-th basis
     vector. Rows are validated to be orthonormal on construction (Gram
-    deviation and resolution of identity both within ``tol``) and stored
-    read-only.
+    deviation and resolution of identity both within BASIS_GRAM_TOL) and
+    stored read-only.
     """
 
     vectors: np.ndarray
     label: str = ""
-    tol: InitVar[float] = BASIS_GRAM_TOL
 
-    def __post_init__(self, tol: float):
+    def __post_init__(self):
         v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DimensionMismatchError(f"basis vectors must form a square array, got {v.shape}")
-        failure = linalg.first_failures(*basis_checks(v[None], tol, [self.label])).get(0)
+        failure = linalg.first_failures(*basis_checks(v[None], BASIS_GRAM_TOL, [self.label])).get(0)
         if failure is not None:
             raise failure
         v.setflags(write=False)
@@ -115,7 +108,7 @@ class SignalEnsemble:
         if not np.all(np.isfinite(v)):
             raise ValueError("ensemble states must be finite")
         norms = np.linalg.norm(v, axis=2)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
+        if np.max(np.abs(norms - 1.0)) > STATE_NORM_TOL:
             raise ValueError("ensemble states must be unit vectors")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -187,48 +180,42 @@ def basis_checks(vectors: np.ndarray, tol, labels) -> tuple[tuple, tuple]:
     )
 
 
-def eigenbasis_rows(
-    matrices: np.ndarray, degeneracy_tol: float, labels
-) -> tuple[np.ndarray, dict[int, Exception]]:
+def eigenbasis_rows(matrices: np.ndarray, labels) -> tuple[np.ndarray, dict[int, Exception]]:
     """Eigenvector rows of a (n, d, d) stack of Hermitian observables, solved and checked in one pass.
 
     Returns (rows, failures): ``rows[k]`` holds the eigenvectors of matrix k
     as rows, eigenvalues descending (see :func:`linalg.herm_eigs`), and
     ``failures`` maps entry k to the error of the first check it fails:
     those of herm_eigs, then DegenerateSpectrumError when two eigenvalues
-    are closer than ``degeneracy_tol``. ``labels[k]`` names entry k. The
+    are closer than DEGENERACY_TOL. ``labels[k]`` names entry k. The
     rows have not yet passed :func:`basis_checks`.
     """
     values, rows, failures = linalg.herm_eigs(matrices)
-    degenerate = (values[:, :-1] - values[:, 1:]).min(axis=1, initial=np.inf) < degeneracy_tol
+    degenerate = (values[:, :-1] - values[:, 1:]).min(axis=1, initial=np.inf) < DEGENERACY_TOL
 
     def error(k: int) -> DegenerateSpectrumError:
         gap = float(np.min(-np.diff(values[k])))  # -diff, so an exact tie reads -0.000e+00 as it always has
         return DegenerateSpectrumError(
-            f"observable {labels[k]!r} has eigenvalue gap {gap:.3e} < {degeneracy_tol:g}"
+            f"observable {labels[k]!r} has eigenvalue gap {gap:.3e} < {DEGENERACY_TOL:g}"
         )
 
     return rows, linalg.first_failures((degenerate,), (error,), failures)
 
 
-def eigenbasis_of(
-    matrix: np.ndarray,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    label: str = "",
-) -> Eigenbasis:
+def eigenbasis_of(matrix: np.ndarray, label: str = "") -> Eigenbasis:
     """Eigenbasis of a Hermitian observable, eigenvalues sorted descending.
 
     :func:`eigenbasis_rows` and :func:`basis_checks` on a stack of one.
     Raises NotHermitianError or ConvergenceError from the
     eigendecomposition, and DegenerateSpectrumError when two eigenvalues
-    are closer than ``degeneracy_tol``; the eigenprojector list is
+    are closer than DEGENERACY_TOL; the eigenprojector list is
     ambiguous in that case and the ambiguity is surfaced instead of
     resolved arbitrarily.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    rows, failures = eigenbasis_rows(m[None], degeneracy_tol, [label])
+    rows, failures = eigenbasis_rows(m[None], [label])
     linalg.first_failures(*basis_checks(rows, BASIS_GRAM_TOL, [label]), failures)
     if failures:
         raise failures[0]
@@ -248,32 +235,32 @@ def _commutator_norms(overlaps: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * overlaps * rest).max(axis=(-2, -1))
 
 
-def commutes(a: Eigenbasis, b: Eigenbasis, tol: float = COMMUTATION_TOL) -> CommutationReport:
+def commutes(a: Eigenbasis, b: Eigenbasis) -> CommutationReport:
     """Test whether two eigenbases commute projector-by-projector.
 
     ``commutes`` is true iff every cross commutator [P_j, Q_l] has Frobenius
-    norm at most ``tol``; ``common_eigenvector_count`` counts pairs with
-    Tr(P_j Q_l) >= 1 - tol, i.e. shared eigendirections. Both come from the
-    one d x d overlap matrix of the two bases.
+    norm at most COMMUTATION_TOL; ``common_eigenvector_count`` counts pairs
+    with Tr(P_j Q_l) >= 1 - COMMUTATION_TOL, i.e. shared eigendirections.
+    Both come from the one d x d overlap matrix of the two bases.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch {a.dim} vs {b.dim}")
     overlaps = np.abs(a.vectors.conj() @ b.vectors.T) ** 2
     worst = float(_commutator_norms(overlaps))
-    count = int(np.sum(overlaps >= 1.0 - tol))
+    count = int(np.sum(overlaps >= 1.0 - COMMUTATION_TOL))
     return CommutationReport(
-        commutes=worst <= tol,
+        commutes=worst <= COMMUTATION_TOL,
         common_eigenvector_count=count,
         commutator_norm=worst,
     )
 
 
-def _commutation_matrix(obs: ObservableSet, tol: float) -> np.ndarray:
-    """(N, N) booleans: entry (i, j) is commutes(members[i], members[j], tol).commutes."""
+def _commutation_matrix(obs: ObservableSet) -> np.ndarray:
+    """(N, N) booleans: entry (i, j) is commutes(members[i], members[j]).commutes."""
     n, d = obs.count, obs.dim
     kets = np.concatenate([b.vectors for b in obs.members])
     overlaps = (np.abs(kets.conj() @ kets.T) ** 2).reshape(n, d, n, d).transpose(0, 2, 1, 3)
-    return _commutator_norms(overlaps) <= tol
+    return _commutator_norms(overlaps) <= COMMUTATION_TOL
 
 
 def _greedy_subset(commuting: np.ndarray, order) -> list[int]:
@@ -289,7 +276,7 @@ def _covers_excluded(commuting: np.ndarray, kept: list[int]) -> bool:
     return all(commuting[i, kept].any() for i in range(len(commuting)) if i not in kept_set)
 
 
-def minimal_noncommuting_subset(obs: ObservableSet, tol: float = COMMUTATION_TOL) -> ObservableSet:
+def minimal_noncommuting_subset(obs: ObservableSet) -> ObservableSet:
     """Extract a minimal noncommuting subset of an observable set.
 
     The returned subset S satisfies (i) all members of S pairwise noncommute
@@ -302,7 +289,7 @@ def minimal_noncommuting_subset(obs: ObservableSet, tol: float = COMMUTATION_TOL
     """
     members = obs.members
     n = len(members)
-    commuting = _commutation_matrix(obs, tol)
+    commuting = _commutation_matrix(obs)
     for start in range(n):
         order = list(range(start, n)) + list(range(start))
         kept = _greedy_subset(commuting, order)
@@ -369,20 +356,20 @@ def mub_bases(dim: int, n_bases: int) -> ObservableSet:
     )
 
 
-def is_mutually_unbiased(obs: ObservableSet, tol: float = 1e-10) -> bool:
+def is_mutually_unbiased(obs: ObservableSet) -> bool:
     """True iff every pair of bases in the set is mutually unbiased.
 
     Intra-basis overlaps must match the identity and every cross-basis
-    squared overlap must equal 1/d, each within ``tol``.
+    squared overlap must equal 1/d, each within MUB_TOL.
     """
     d = obs.dim
     eye = np.eye(d)
     for i, a in enumerate(obs.members):
         intra = np.abs(a.vectors.conj() @ a.vectors.T) ** 2
-        if np.max(np.abs(intra - eye)) > tol:
+        if np.max(np.abs(intra - eye)) > MUB_TOL:
             return False
         for b in obs.members[i + 1 :]:
             cross = np.abs(a.vectors.conj() @ b.vectors.T) ** 2
-            if np.max(np.abs(cross - 1.0 / d)) > tol:
+            if np.max(np.abs(cross - 1.0 / d)) > MUB_TOL:
                 return False
     return True

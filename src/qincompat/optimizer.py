@@ -34,11 +34,9 @@ from .errors import (
     BoundViolationError,
     DimensionMismatchError,
     NonMonotoneError,
-    NotMutuallyUnbiasedError,
     SingularUpdateError,
 )
 from .fidelity import (
-    COMPLETENESS_TOL,
     Povm,
     ReconstructionMap,
     _phi_batch,
@@ -48,14 +46,18 @@ from .fidelity import (
 from .observables import (
     ObservableSet,
     SignalEnsemble,
-    is_mutually_unbiased,
     minimal_noncommuting_subset,
     signal_ensemble,
 )
+from .tolerances import (
+    BOUND_SLACK,
+    COMPLETENESS_TOL,
+    CONVERGENCE_EPS,
+    MONOTONE_TOL,
+    PINV_CUTOFF,
+    WEIGHT_PRUNE_EPS,
+)
 
-MONOTONE_TOL = 1e-12
-BOUND_SLACK = 1e-9
-PINV_CUTOFF = 1e-12
 # Below this dimension an eigensolve of a weight-0 outcome costs less than
 # gathering the live outcomes around it. It must not exceed
 # linalg.WARM_MIN_DIM: a weight-0 outcome's guess can be an exact
@@ -74,9 +76,8 @@ class OptimizerConfig:
     restarts: int = 16
     outcomes: int | None = None
     max_iters: int = 2000
-    convergence_eps: float = 1e-10
+    convergence_eps: float = CONVERGENCE_EPS
     seed: int = 0
-    weight_prune_eps: float = 1e-12
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -89,8 +90,6 @@ class OptimizerConfig:
             raise ValueError(f"convergence_eps must be positive and finite, got {self.convergence_eps!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not (math.isfinite(self.weight_prune_eps) and self.weight_prune_eps > 0):
-            raise ValueError(f"weight_prune_eps must be positive and finite, got {self.weight_prune_eps!r}")
 
     def n_outcomes(self, dim: int) -> int:
         k = self.outcomes if self.outcomes is not None else dim * dim
@@ -299,7 +298,7 @@ def _see_saw_batch(
         moved = pulled @ _pinv_sqrt(update_op, where).swapaxes(1, 2)
         norms = np.linalg.norm(moved, axis=2)
         weights = weights * norms**2
-        keep = weights >= config.weight_prune_eps
+        keep = weights >= WEIGHT_PRUNE_EPS
         empty = np.flatnonzero(~keep.any(axis=1))
         if empty.size:
             raise SingularUpdateError(
@@ -350,7 +349,7 @@ def see_saw(
     fixed-point update M_a <- L^(-1/2) G_a M_a G_a L^(-1/2), where
     G_a = Phi(sigma_a) and L = sum_a G_a M_a G_a, taken on the support of L.
     Rank-1 elements stay rank-1 under the update; outcomes whose weight
-    falls below ``weight_prune_eps`` are dropped and completeness is
+    falls below WEIGHT_PRUNE_EPS are dropped and completeness is
     re-verified. Terminates when the per-sweep gain drops below
     ``convergence_eps`` or after ``max_iters`` sweeps.
 
@@ -459,30 +458,3 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
         start_sweeps=search.start_sweeps,
         minimal_subset_labels=subset.labels,
     )
-
-
-def collision_probability_sum(
-    state: np.ndarray,
-    bases: ObservableSet,
-    mub_tol: float = 1e-9,
-) -> tuple[float, float, bool]:
-    """Summed collision probability of a pure state across unbiased bases.
-
-    For each basis the collision probability of its outcome distribution is
-    the sum of squared outcome probabilities; summed over N mutually
-    unbiased bases it is capped by (N + d - 1)/d, with equality exactly
-    when the state lies in one of the bases. Returns (sum, cap, holds)
-    where ``holds`` allows 1e-10 slack.
-    """
-    if not is_mutually_unbiased(bases, mub_tol):
-        raise NotMutuallyUnbiasedError("the bases are not mutually unbiased within tolerance")
-    phi = np.asarray(state, dtype=complex)
-    if phi.shape != (bases.dim,):
-        raise DimensionMismatchError(f"expected a length-{bases.dim} vector, got {phi.shape}")
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise ValueError("state must be a unit vector")
-    stacked = np.concatenate([b.vectors for b in bases.members])
-    outcome_probs = np.abs(stacked.conj() @ phi) ** 2
-    total = float(np.sum(outcome_probs**2))
-    cap = (bases.count + bases.dim - 1.0) / bases.dim
-    return total, cap, total <= cap + 1e-10

@@ -52,6 +52,11 @@ def one_random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm
     return Povm(dim, weights[0], directions[0])
 
 
+def projective_povm(basis: Eigenbasis) -> Povm:
+    """The von Neumann measurement in ``basis`` as a rank-1 POVM."""
+    return Povm(dim=basis.dim, weights=np.ones(basis.dim), directions=basis.vectors.copy())
+
+
 def bloch_axes(ens: SignalEnsemble) -> np.ndarray:
     """(n_states, 3) Bloch axes of a qubit ensemble's signal projectors."""
     return np.real(np.einsum("kij,aji->ak", PAULIS, ens.state_projectors))

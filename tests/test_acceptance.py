@@ -22,19 +22,18 @@ from qincompat import (
 from qincompat.cli import main
 from qincompat.documents import basis_document
 from qincompat.fidelity import (
+    ReconstructionMap,
     achievable_fidelity,
     achievable_fidelity_overlap_form,
     average_fidelity,
     ensemble_map,
     optimal_reconstruction,
-    projective_povm,
-    projective_strategy_fidelity,
 )
 from qincompat.linalg import random_unit_vector
 from qincompat.observables import commutes, minimal_noncommuting_subset, signal_ensemble
-from qincompat.optimizer import collision_probability_sum
 from conftest import (
     one_random_povm,
+    projective_povm,
     qubit_fidelity_optimum,
     random_basis,
     random_density,
@@ -111,10 +110,13 @@ def test_mub_fidelity_and_projective_baseline(mub_reports):
     for dim, count, _ in MUB_CASES:
         target = (count + dim - 1.0) / (count * dim)
         assert abs(mub_reports[(dim, count)].optimal_fidelity - target) <= 1e-6
-        ens = signal_ensemble(mub_bases(dim, count))
-        for k in range(count):
-            assert abs(projective_strategy_fidelity(ens, k) - target) <= 1e-12
-        baseline = achievable_fidelity(ens, projective_povm(mub_bases(dim, count).members[0]))
+        obs = mub_bases(dim, count)
+        ens = signal_ensemble(obs)
+        for basis in obs.members:
+            # measure in the basis and resend the outcome's basis vector
+            resend = ReconstructionMap(states=basis.vectors[:, :, None] * basis.vectors.conj()[:, None, :])
+            assert abs(average_fidelity(ens, projective_povm(basis), resend) - target) <= 1e-12
+        baseline = achievable_fidelity(ens, projective_povm(obs.members[0]))
         assert abs(baseline - target) <= 1e-12
     print("PASS: optimal fidelity matches (N+d-1)/(Nd) to 1e-6; projective baseline attains it to 1e-12")
 
@@ -184,15 +186,9 @@ def test_collision_sum_cap_monte_carlo():
             if dim == 2 and count == 3:
                 assert float(np.max(np.abs(sums - 2.0))) <= 1e-10
 
-            # the library op matches the vectorized bulk formula
-            for column in range(0, samples, samples // 10):
-                total, reported_cap, holds = collision_probability_sum(states[:, column], bases)
-                assert holds and reported_cap == cap
-                assert abs(total - float(sums[column])) <= 1e-12
-
-            for vector in stacked:
-                total, _, _ = collision_probability_sum(vector, bases)
-                assert abs(total - cap) <= 1e-12
+            # every basis vector saturates the cap
+            saturated = np.sum(np.abs(stacked.conj() @ stacked.T) ** 4, axis=0)
+            assert float(np.max(np.abs(saturated - cap))) <= 1e-12, (dim, count)
     print("PASS: 1e5 Haar states per unbiased set never exceed the collision cap; basis vectors saturate it")
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -56,6 +58,16 @@ class TestMeasureCommand:
         assert float(fields["incompatibility"]) == pytest.approx(0.25, abs=1e-6)
         # csv keeps scalars only
         assert "best_povm.weights" not in fields
+
+    def test_csv_quotes_a_value_that_holds_a_comma(self, tmp_path, capsys):
+        source = write_zx(tmp_path)
+        path = tmp_path / "a,b.json"
+        path.write_text(open(source, encoding="utf-8").read())
+        code, out, _ = run(capsys, "measure", str(path), "--restarts", "2", "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row)
+        assert dict(zip(header, row))["input"] == str(path)
 
     def test_emitted_floats_parse_back_exactly(self, tmp_path, capsys):
         _, out, _ = run(capsys, "measure", write_zx(tmp_path), "--restarts", "2")

@@ -358,7 +358,7 @@ class TestBatchedParseMatchesPerItemParser:
     def test_eigenbasis_of_is_a_row_of_the_batch(self, dim):
         rng = np.random.default_rng(200 + dim)
         stack = np.stack([random_hermitian(dim, rng) for _ in range(6)])
-        rows, failures = eigenbasis_rows(stack, 1e-8, [""] * len(stack))
+        rows, failures = eigenbasis_rows(stack, [""] * len(stack))
         assert failures == {}
         for i, matrix in enumerate(stack):
             one = eigenbasis_of(matrix)

@@ -11,12 +11,10 @@ from qincompat.fidelity import (
     average_fidelity,
     ensemble_map,
     optimal_reconstruction,
-    projective_povm,
-    projective_strategy_fidelity,
     random_povm,
 )
 from qincompat.observables import signal_ensemble
-from conftest import one_random_povm, random_density, random_ensemble, rotated_qubit_basis
+from conftest import one_random_povm, projective_povm, random_density, random_ensemble, rotated_qubit_basis
 
 ZX_ENSEMBLE = signal_ensemble(mub_bases(2, 2))
 ZXY_ENSEMBLE = signal_ensemble(mub_bases(2, 3))
@@ -237,6 +235,13 @@ class TestRouteConsistency:
         )
 
 
+def projective_strategy_fidelity(ens, basis_index):
+    """Average fidelity of measuring in one basis of the ensemble and resending the outcome's vector."""
+    basis_vectors = ens.vectors[basis_index]
+    povm = Povm(dim=ens.dim, weights=np.ones(ens.dim), directions=basis_vectors)
+    return average_fidelity(ens, povm, resend_basis_states(basis_vectors))
+
+
 class TestProjectiveStrategyFidelity:
     @pytest.mark.parametrize("dim,count", [(2, 2), (2, 3), (3, 2), (3, 4), (5, 6)])
     def test_unbiased_bases_hit_floor_exactly(self, dim, count):
@@ -249,17 +254,14 @@ class TestProjectiveStrategyFidelity:
         assert projective_strategy_fidelity(SINGLE_BASIS, 0) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_explicit_strategy(self):
+        # (1/Nd) sum over states k and outcomes l of Tr(P_k B_l)^2
         tilted = rotated_qubit_basis(0.3, label="tilted")
         z = mub_bases(2, 1).members[0]
         ens = signal_ensemble(ObservableSet((z, tilted)))
         for k in range(2):
-            basis_vectors = ens.vectors[k]
-            explicit = average_fidelity(
-                ens,
-                Povm(dim=2, weights=np.ones(2), directions=basis_vectors),
-                resend_basis_states(basis_vectors),
-            )
-            assert abs(projective_strategy_fidelity(ens, k) - explicit) <= 1e-12
+            overlaps = np.abs(ens.kets.conj() @ ens.vectors[k].T) ** 2
+            closed_form = float(np.sum(overlaps**2)) / ens.n_states
+            assert abs(projective_strategy_fidelity(ens, k) - closed_form) <= 1e-12
 
     def test_floor_property_on_random_ensembles(self, rng):
         for _ in range(10):
@@ -269,10 +271,6 @@ class TestProjectiveStrategyFidelity:
             floor = (count + dim - 1.0) / (count * dim)
             for k in range(count):
                 assert projective_strategy_fidelity(ens, k) >= floor - 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            projective_strategy_fidelity(ZX_ENSEMBLE, 2)
 
 
 def reference_random_povm(dim, n_outcomes, rng):

@@ -12,13 +12,13 @@ from qincompat.errors import (
 )
 from qincompat.linalg import projector
 from qincompat.observables import (
-    COMMUTATION_TOL,
     SignalEnsemble,
     commutes,
     is_mutually_unbiased,
     minimal_noncommuting_subset,
     signal_ensemble,
 )
+from qincompat.tolerances import COMMUTATION_TOL
 from conftest import PAULI_X, PAULI_Z, random_basis, rotated_qubit_basis
 
 Z_BASIS = Eigenbasis(np.eye(2, dtype=complex), label="Z")
@@ -246,7 +246,7 @@ class TestMubBases:
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 7])
     def test_constructed_sets_are_unbiased(self, dim):
-        assert is_mutually_unbiased(mub_bases(dim, dim + 1), 1e-10)
+        assert is_mutually_unbiased(mub_bases(dim, dim + 1))
 
     def test_deterministic(self):
         a, b = mub_bases(5, 6), mub_bases(5, 6)
@@ -277,4 +277,4 @@ class TestIsMutuallyUnbiased:
         assert not is_mutually_unbiased(ObservableSet((Z_BASIS, tilted)))
 
     def test_accepts_constructions(self):
-        assert is_mutually_unbiased(mub_bases(5, 3), 1e-10)
+        assert is_mutually_unbiased(mub_bases(5, 3))

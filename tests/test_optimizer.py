@@ -9,22 +9,28 @@ from qincompat import (
     mub_bases,
     shared_eigenvector_pair,
 )
-from qincompat.errors import NotMutuallyUnbiasedError, SingularUpdateError
+from qincompat import optimizer
+from qincompat.errors import SingularUpdateError
 from qincompat.fidelity import (
     Povm,
     achievable_fidelity,
     average_fidelity,
-    projective_povm,
 )
 from qincompat.observables import signal_ensemble
 from qincompat.optimizer import (
-    collision_probability_sum,
     fuchs_lower_bound,
     optimal_fidelity,
     q_upper_bounds,
     see_saw,
 )
-from conftest import one_random_povm, qubit_fidelity_optimum, random_ensemble, rotated_qubit_basis
+from qincompat.tolerances import WEIGHT_PRUNE_EPS
+from conftest import (
+    one_random_povm,
+    projective_povm,
+    qubit_fidelity_optimum,
+    random_ensemble,
+    rotated_qubit_basis,
+)
 
 FAST = OptimizerConfig(restarts=4, seed=0)
 
@@ -66,7 +72,7 @@ def reference_see_saw(ens, initial, config):
         inv[mask] = 1.0 / np.sqrt(uvals[mask])
         moved = pulled @ ((uvecs * inv) @ uvecs.conj().T).T
         weights = weights * np.linalg.norm(moved, axis=1) ** 2
-        keep = weights >= config.weight_prune_eps
+        keep = weights >= WEIGHT_PRUNE_EPS
         assert np.any(keep)
         weights = weights[keep]
         moved = moved[keep]
@@ -127,13 +133,9 @@ class TestOptimizerConfig:
             {"max_iters": 0},
             {"convergence_eps": 0.0},
             {"seed": -1},
-            {"weight_prune_eps": 0.0},
             {"convergence_eps": float("nan")},
             {"convergence_eps": float("inf")},
             {"convergence_eps": float("-inf")},
-            {"weight_prune_eps": float("nan")},
-            {"weight_prune_eps": float("inf")},
-            {"weight_prune_eps": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -270,10 +272,11 @@ class TestBatchedKernel:
         assert runs.sweeps[1] == mate_sweeps
         assert abs(runs.fidelity[1] - mate_value) <= 1e-12
 
-    def test_prune_error_names_start_and_sweep(self):
+    def test_prune_error_names_start_and_sweep(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "WEIGHT_PRUNE_EPS", 10.0)
         ens = signal_ensemble(mub_bases(2, 2))
         with pytest.raises(SingularUpdateError, match=r"all outcomes pruned .*\(start 0, sweep 1\)"):
-            optimal_fidelity(ens, OptimizerConfig(restarts=1, weight_prune_eps=10.0))
+            optimal_fidelity(ens, OptimizerConfig(restarts=1))
 
 
 class TestOptimalFidelity:
@@ -383,41 +386,3 @@ class TestQubitGridOracle:
         ens = signal_ensemble(ObservableSet((z, tilted)))
         search = optimal_fidelity(ens, FAST)
         assert abs(search.fidelity - qubit_fidelity_optimum(ens)) <= 1e-9
-
-
-class TestCollisionProbabilitySum:
-    def test_basis_vectors_saturate(self):
-        for dim, count in [(2, 2), (3, 4), (5, 3)]:
-            bases = mub_bases(dim, count)
-            cap = (count + dim - 1.0) / dim
-            for member in bases.members:
-                for vector in member.vectors:
-                    total, reported_cap, holds = collision_probability_sum(vector, bases)
-                    assert reported_cap == pytest.approx(cap)
-                    assert holds
-                    assert total == pytest.approx(cap, abs=1e-12)
-
-    def test_montecarlo_cap_holds(self):
-        bases = mub_bases(3, 4)
-        rng = np.random.default_rng(2)
-        for _ in range(10_000):
-            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            total, cap, holds = collision_probability_sum(z / np.linalg.norm(z), bases)
-            assert holds
-            assert total <= cap + 1e-10
-
-    def test_complete_qubit_set_pins_the_sum(self):
-        # all three qubit axes together square-sum every Bloch component,
-        # so pure states always give exactly 2
-        bases = mub_bases(2, 3)
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            total, _, _ = collision_probability_sum(z / np.linalg.norm(z), bases)
-            assert total == pytest.approx(2.0, abs=1e-12)
-
-    def test_rejects_biased_bases(self):
-        z = Eigenbasis(np.eye(2, dtype=complex), label="Z")
-        tilted = rotated_qubit_basis(0.2, label="tilted")
-        with pytest.raises(NotMutuallyUnbiasedError):
-            collision_probability_sum(np.array([1.0, 0.0]), ObservableSet((z, tilted)))
