@@ -101,7 +101,7 @@ def _emit(doc: dict, args: argparse.Namespace, out: str | None = None) -> None:
 def _run_measure(args: argparse.Namespace) -> int:
     started = time.monotonic()
     config = _config(args)
-    obs = documents.parse_observable_set(documents.load_document(args.input))
+    obs = documents.parse_observable_set(documents.load_document(args.input), config)
     report = incompatibility(obs, config)
     capped = sum(sweeps >= config.max_iters for sweeps in report.start_sweeps)
     if capped:
@@ -164,7 +164,7 @@ def _run_bounds(args: argparse.Namespace) -> int:
 def _run_entropic(args: argparse.Namespace) -> int:
     started = time.monotonic()
     config = _config(args)
-    obs = documents.parse_observable_set(documents.load_document(args.input))
+    obs = documents.parse_observable_set(documents.load_document(args.input), config)
     if obs.count != 2:
         raise InputFormatError(f"the entropic command needs exactly two items, got {obs.count}")
     report = entropic_report(obs.members[0], obs.members[1], config)

@@ -28,7 +28,7 @@ from . import linalg
 from .errors import InputFormatError, NotHermitianError
 from .fidelity import Povm, ReconstructionMap
 from .observables import Eigenbasis, ObservableSet, basis_checks, eigenbasis_rows
-from .optimizer import IncompatibilityReport
+from .optimizer import IncompatibilityReport, OptimizerConfig, check_kernel_size
 from .tolerances import BASIS_GRAM_TOL, HERMITICITY_TOL, INPUT_BASIS_TOL
 
 # the field that holds each item type's (d, d) array of [re, im] pairs
@@ -225,7 +225,7 @@ def _item_arrays(raw: list, fields: list[str], dim: int) -> tuple[np.ndarray, In
     return np.array(arrays, dtype=complex).reshape(-1, dim, dim), error
 
 
-def parse_observable_set(doc: dict) -> ObservableSet:
+def parse_observable_set(doc: dict, config: OptimizerConfig | None = None) -> ObservableSet:
     """Validate a parsed input document and build the observable set.
 
     Matrices must be Hermitian within 1e-9 and basis vectors orthonormal
@@ -235,7 +235,9 @@ def parse_observable_set(doc: dict) -> ObservableSet:
     observables (:func:`eigenbasis_rows`), then one :func:`basis_checks` of
     every member, at 1e-10 for eigenbases and 1e-9 for basis items. The
     error raised is that of the first item, in document order, that fails
-    any check.
+    any check. Given the ``config`` the set will be searched with, a search
+    too large for the see-saw (:func:`check_kernel_size`, counting every
+    item as a basis) is rejected before any item is read.
     """
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
@@ -243,6 +245,8 @@ def parse_observable_set(doc: dict) -> ObservableSet:
     items = doc.get("items")
     if not isinstance(items, list) or not items:
         raise InputFormatError("items must be a nonempty list")
+    if config is not None:
+        check_kernel_size(config, dim, len(items))
 
     labels, fields, raw = [], [], []
     error = None

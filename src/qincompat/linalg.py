@@ -152,10 +152,11 @@ def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tu
     for fixed input bits: callers that expose a vector apply fix_phases.
 
     With a ``guess`` (..., d) of unit vectors and d >= WARM_MIN_DIM, the
-    matrices first take one Rayleigh-quotient step from their guesses (see
-    :func:`_warm_top_eig`). A value from that step is the Rayleigh quotient
-    of the returned vector and lies within WARM_CERTIFICATE_SHIFT * tr of
-    the top eigenvalue; matrices whose step fails its checks get eigh's.
+    matrices first take Rayleigh-quotient steps from their guesses, at most
+    two (see :func:`_warm_top_eig`). A value from a step is the Rayleigh
+    quotient of the returned vector and lies within WARM_CERTIFICATE_SHIFT *
+    tr of the top eigenvalue; matrices whose steps fail their checks get
+    eigh's.
     """
     if guess is not None and matrices.shape[-1] >= WARM_MIN_DIM:
         warm = _warm_top_eig(matrices, guess)
@@ -170,37 +171,65 @@ def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """One Rayleigh-quotient step per matrix from ``guess``, certified, with eigh for failing rows.
+    """Rayleigh-quotient steps per matrix from ``guess``, certified, with eigh for failing rows.
 
     sigma = g^dagger A g, y = (A - sigma I)^(-1) g normalized, rho = y^dagger A y.
     A matrix keeps (rho, y) when ||A y - rho y|| <= WARM_RESIDUAL_TOL * tr A
     and (rho + WARM_CERTIFICATE_SHIFT * tr A) I - A is positive definite,
     which its Cholesky factor proves: then rho <= lambda_max < rho + shift *
-    tr A. Matrices that fail the residual go through eigh. Returns None, so
-    that the whole stack goes through eigh, when the Cholesky check fails
-    (a guess near a lower eigenvector converges there) or the solve finds a
-    singular matrix (a guess that is an exact eigenvector).
+    tr A. Returns None, so that the whole stack goes through eigh, when the
+    Cholesky check of the first step fails (a guess near a lower eigenvector
+    converges there) or its solve finds a singular matrix (a guess that is an
+    exact eigenvector). Matrices that fail the first step's residual take a
+    second step from y, checked the same way on its own; those that fail it
+    go through eigh.
     """
-    eye = np.eye(matrices.shape[-1])
-    trace = np.trace(matrices, axis1=-2, axis2=-1).real
-    sigma = (guess.conj()[..., None, :] @ matrices @ guess[..., None])[..., 0, 0].real
     try:
-        y = np.linalg.solve(matrices - sigma[..., None, None] * eye, guess[..., None])[..., 0]
+        rho, y, ok = _rayleigh_step(matrices, guess)
     except np.linalg.LinAlgError:
         return None
+    if not _certified(matrices[ok], rho[ok]):
+        return None
+    if not ok.all():
+        rest = ~ok
+        stack, again = matrices[rest], np.zeros(np.count_nonzero(rest), dtype=bool)
+        try:
+            rho_2, y_2, again = _rayleigh_step(stack, y[rest])
+        except np.linalg.LinAlgError:
+            rho_2, y_2 = rho[rest], y[rest]
+        if again.any() and not _certified(stack[again], rho_2[again]):
+            again[:] = False
+        if not again.all():
+            rho_2[~again], y_2[~again] = _eigh_top(stack[~again])
+        rho[rest], y[rest] = rho_2, y_2
+    return rho, y
+
+
+def _rayleigh_step(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Rayleigh-quotient step from each guess: (rho, y, passes the residual check).
+
+    Raises LinAlgError when a shifted matrix is singular.
+    """
+    sigma = (guess.conj()[..., None, :] @ matrices @ guess[..., None])[..., 0, 0].real
+    shifted = matrices - sigma[..., None, None] * np.eye(matrices.shape[-1])
+    y = np.linalg.solve(shifted, guess[..., None])[..., 0]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         y = y / np.linalg.norm(y, axis=-1, keepdims=True)
         image = (matrices @ y[..., None])[..., 0]
         rho = np.sum(y.conj() * image, axis=-1).real
         residual = np.linalg.norm(image - rho[..., None] * y, axis=-1)
-    ok = residual <= WARM_RESIDUAL_TOL * trace
+    trace = np.trace(matrices, axis1=-2, axis2=-1).real
+    return rho, y, residual <= WARM_RESIDUAL_TOL * trace
+
+
+def _certified(matrices: np.ndarray, rho: np.ndarray) -> bool:
+    """True when (rho + WARM_CERTIFICATE_SHIFT * tr A) I - A has a Cholesky factor for every matrix A."""
+    bound = rho + WARM_CERTIFICATE_SHIFT * np.trace(matrices, axis1=-2, axis2=-1).real
     try:
-        np.linalg.cholesky((rho[ok] + WARM_CERTIFICATE_SHIFT * trace[ok])[:, None, None] * eye - matrices[ok])
+        np.linalg.cholesky(bound[:, None, None] * np.eye(matrices.shape[-1]) - matrices)
     except np.linalg.LinAlgError:
-        return None
-    if not ok.all():
-        rho[~ok], y[~ok] = _eigh_top(matrices[~ok])
-    return rho, y
+        return False
+    return True
 
 
 def projector(vector: np.ndarray) -> np.ndarray:

@@ -16,12 +16,22 @@ upper bounds are attached so callers can see how tight it is:
 * for mutually unbiased bases both the fidelity and the measure are known
   exactly, and the projective baseline attains them.
 
+The measurement step is the fixed-point iteration of Jezek, Rehacek and
+Fiurasek (PRA 65, 060301(R), 2002), which converges linearly. Each start
+over-relaxes it adaptively (Salakhutdinov and Roweis, ICML 2003): once the
+plain step's gains shrink slowly, the start tries the step's weight factors
+raised to a power omega > 1, keeps the result only if the fidelity did not
+fall, and otherwise takes the plain step with omega back at 1. A start stops
+only on a plain step that gains less than ``convergence_eps``. See
+:func:`see_saw` for the rule.
+
 Reports are deterministic: restart r draws from a stream seeded by
 (config.seed, r), so identical configurations give identical output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -64,6 +74,19 @@ from .tolerances import (
 # eigenvector, which makes the warm step's shifted matrix singular.
 GATHER_MIN_DIM = 3
 
+# Adaptive over-relaxation of the measurement step (see see_saw). Each
+# accepted candidate multiplies a start's factor omega by OMEGA_GROWTH, up to
+# OMEGA_MAX; a rejected one resets it to 1. Omega leaves 1 after a plain step
+# that gains at least SLOW_GAIN_RATIO times the start's last accepted gain:
+# on starts whose gains shrink faster, a candidate costs a sweep's update
+# twice over and saves no sweeps.
+OMEGA_GROWTH = 1.5
+OMEGA_MAX = 50.0
+SLOW_GAIN_RATIO = 0.9
+
+# Largest Phi stack, in bytes, that the see-saw may hold for one set.
+KERNEL_BYTE_BUDGET = 2**28
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -98,6 +121,35 @@ class OptimizerConfig:
         return k
 
 
+def check_kernel_size(config: OptimizerConfig, dim: int, n_bases: int) -> None:
+    """Raise ValueError when the see-saw of ``n_bases`` bases in dimension ``dim`` would not fit.
+
+    The kernel holds (n_bases + restarts) x outcomes x d x d complex
+    entries at once (the Phi stack of every start and outcome). Above
+    KERNEL_BYTE_BUDGET bytes the error names the field to lower: restarts
+    when one restart would fit, outcomes when a given outcome count is the
+    cause, dim otherwise. Nothing is allocated.
+    """
+    outcomes = config.n_outcomes(dim)
+
+    def size(starts: int, k: int) -> int:
+        return starts * k * dim * dim * np.dtype(complex).itemsize
+
+    needed = size(n_bases + config.restarts, outcomes)
+    if needed <= KERNEL_BYTE_BUDGET:
+        return
+    if size(n_bases + 1, outcomes) <= KERNEL_BYTE_BUDGET:
+        field, value = "restarts", config.restarts
+    elif config.outcomes is not None and size(n_bases + 1, dim) <= KERNEL_BYTE_BUDGET:
+        field, value = "outcomes", config.outcomes
+    else:
+        field, value = "dim", dim
+    raise ValueError(
+        f"{field} {value} is too large: the see-saw would hold {n_bases + config.restarts} x {outcomes}"
+        f" x {dim} x {dim} complex entries ({needed} bytes), above its {KERNEL_BYTE_BUDGET}-byte budget"
+    )
+
+
 @dataclass(frozen=True)
 class SeeSawResult:
     """Converged state of one see-saw run."""
@@ -117,7 +169,8 @@ class FidelitySearch:
     order: the N projective eigenbasis seeds first, then the random
     restarts. ``start_sweeps`` lists the sweeps of every start in the same
     order (a start at ``max_iters`` stopped at the cap, not by converging),
-    and ``iterations`` is their sum.
+    and ``iterations`` is their sum. ``best_start`` indexes the start whose
+    strategy is reported.
     """
 
     fidelity: float
@@ -126,6 +179,7 @@ class FidelitySearch:
     restart_trace: tuple[float, ...]
     iterations: int
     start_sweeps: tuple[int, ...]
+    best_start: int
 
 
 @dataclass(frozen=True)
@@ -210,6 +264,83 @@ class _Runs(NamedTuple):
     traces: list[np.ndarray]
 
 
+def _rescaled(weights: np.ndarray, moved: np.ndarray, fallback: np.ndarray):
+    """Elements ``weights_a * |moved_a><moved_a|`` as unit directions and weights, pruned and checked.
+
+    An outcome whose new weight falls below WEIGHT_PRUNE_EPS gets weight 0
+    and its ``fallback`` direction. Returns (weights, directions, factors,
+    empty, lost): ``factors`` holds |moved_a|^2, ``empty`` marks the starts
+    with no outcome left and ``lost`` those whose elements miss the identity
+    by more than COMPLETENESS_TOL.
+    """
+    norms = np.linalg.norm(moved, axis=2)
+    factors = norms**2
+    weights = weights * factors
+    keep = weights >= WEIGHT_PRUNE_EPS
+    empty = ~keep.any(axis=1)
+    weights = np.where(keep, weights, 0.0)
+    directions = np.where(keep[..., None], moved / np.where(keep, norms, 1.0)[..., None], fallback)
+    resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
+    lost = np.linalg.norm(resolution - np.eye(moved.shape[2]), axis=(1, 2)) > COMPLETENESS_TOL
+    return weights, directions, factors, empty, lost
+
+
+def _plain_step(
+    ens: SignalEnsemble,
+    weights: np.ndarray,
+    directions: np.ndarray,
+    eta: np.ndarray,
+    where: Callable[[int], str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed-point measurement update of each start for its resend directions ``eta``.
+
+    M_a <- L^(-1/2) G_a M_a G_a L^(-1/2) with G_a = Phi(eta_a) and
+    L = sum_a G_a M_a G_a: the weight m_a becomes m_a s_a with
+    s_a = |L^(-1/2) G_a chi_a|^2. Returns the new weights, directions and
+    the factors s_a. A start that loses every outcome or completeness
+    raises SingularUpdateError, ``where(i)`` naming start i.
+    """
+    live = weights > 0.0
+    if ens.dim >= GATHER_MIN_DIM and not live.all():
+        pulled = np.zeros_like(directions)
+        pulled[live] = (_phi_batch(ens, _signal_overlaps(ens, eta[live])) @ directions[live][..., None])[..., 0]
+    else:
+        pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
+    update_op = (pulled.swapaxes(1, 2) * weights[:, None, :]) @ pulled.conj()
+    moved = pulled @ _pinv_sqrt(update_op, where).swapaxes(1, 2)
+    weights, directions, factors, empty, lost = _rescaled(weights, moved, directions)
+    if empty.any():
+        raise SingularUpdateError(
+            f"all outcomes pruned during measurement update ({where(np.flatnonzero(empty)[0])})"
+        )
+    if lost.any():
+        raise SingularUpdateError(f"measurement update lost completeness ({where(np.flatnonzero(lost)[0])})")
+    return weights, directions, factors
+
+
+def _over_relaxed(
+    plain_weights: np.ndarray,
+    plain_directions: np.ndarray,
+    factors: np.ndarray,
+    omega: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The over-relaxed candidate of each start: the plain step's factors s_a raised to omega.
+
+    The candidate has weights m_a s_a^omega = m'_a s_a^(omega - 1) on the
+    plain step's directions chi'_a, made complete again by W^(-1/2) with
+    W = sum_a m_a s_a^omega chi'_a chi'_a^dagger, then pruned and checked as
+    the plain step is. Returns (weights, directions, ok); ``ok`` is False
+    for a start whose candidate lost every outcome or completeness.
+    """
+    factors = np.where(plain_weights > 0.0, factors, 0.0)
+    # W^(-1/2) undoes a common scale, so s_a / max_b s_b keeps s_a^omega finite
+    tilted = plain_weights * (factors / factors.max(axis=1, keepdims=True)) ** (omega - 1.0)[:, None]
+    frame = (plain_directions.swapaxes(1, 2) * tilted[:, None, :]) @ plain_directions.conj()
+    moved = plain_directions @ _pinv_sqrt(frame).swapaxes(1, 2)
+    weights, directions, _, empty, lost = _rescaled(tilted, moved, plain_directions)
+    return weights, directions, ~(empty | lost)
+
+
 def _see_saw_batch(
     ens: SignalEnsemble,
     weights: np.ndarray,
@@ -226,9 +357,14 @@ def _see_saw_batch(
     the trajectory and sweep count it would follow on its own. Every check
     is made per start, and its error names the start and the sweep.
 
+    Each start holds its accepted point, the plain step from it, its
+    over-relaxation factor omega and the point the next sweep scores: the
+    plain step, or the over-relaxed candidate when omega > 1 (see
+    :func:`see_saw` for the rule).
+
     Top eigenpairs and resend maps are computed for the live (weight > 0)
     rows only; a dead row keeps its last, finite, resend direction. From
-    sweep 2 on, each live row's resend direction of the previous sweep is
+    sweep 2 on, each live row's resend direction at the accepted point is
     the warm-start guess of its top eigenpair.
     """
     n_starts, dim = weights.shape[0], ens.dim
@@ -239,32 +375,45 @@ def _see_saw_batch(
     best_eta = np.empty_like(directions)
     sweeps = np.zeros(n_starts, dtype=int)
     history: list[tuple[np.ndarray, np.ndarray]] = []
-    previous = None
-    eta = directions.copy()
+    kept_weights, kept_directions, kept_eta, kept_value = weights, directions, directions.copy(), None
+    plain = (weights, directions, np.ones(weights.shape))
+    # per start: omega > 1 when the next sweep scores a candidate, and the last accepted gain
+    omega = [1.0] * n_starts
+    last_gain = [math.inf] * n_starts
 
     def where(i: int) -> str:
         return f"start {ids[i]}, sweep {sweep}"
 
     for sweep in range(1, config.max_iters + 1):
         live = weights > 0.0
-        gather = dim >= GATHER_MIN_DIM and not live.all()
-        if gather:
+        guess = None if kept_value is None else kept_eta
+        if dim >= GATHER_MIN_DIM and not live.all():
             phi = _phi_batch(ens, _signal_overlaps(ens, directions[live]))
-            lam = np.zeros(weights.shape)
-            lam[live], eta[live] = linalg.batched_top_eig(phi, None if sweep == 1 else eta[live])
+            lam, eta = np.zeros(weights.shape), kept_eta.copy()
+            lam[live], eta[live] = linalg.batched_top_eig(phi, None if guess is None else guess[live])
         else:
             phi = _phi_batch(ens, _signal_overlaps(ens, directions))
-            lam, eta = linalg.batched_top_eig(phi, None if sweep == 1 else eta)
+            lam, eta = linalg.batched_top_eig(phi, guess)
         value = np.einsum("sa,sa->s", weights, lam)
-        history.append((ids, value))
 
-        if previous is not None:
-            fell = np.flatnonzero(value < previous - MONOTONE_TOL)
-            if fell.size:
-                i = fell[0]
-                raise NonMonotoneError(
-                    f"fidelity fell from {float(previous[i])!r} to {float(value[i])!r} ({where(i)})"
-                )
+        # the starting point is taken as it is; later, a plain step always, a candidate if F did not fall
+        take, done = [True] * len(ids), [False] * len(ids)
+        if kept_value is not None:
+            for i, gain in enumerate((value - kept_value).tolist()):
+                if omega[i] > 1.0:
+                    take[i] = gain >= 0.0
+                    grows = take[i] and gain >= config.convergence_eps
+                    omega[i] = min(OMEGA_GROWTH * omega[i], OMEGA_MAX) if grows else 1.0
+                    last_gain[i] = gain if take[i] else 0.0
+                    continue
+                if gain < -MONOTONE_TOL:
+                    raise NonMonotoneError(
+                        f"fidelity fell from {float(kept_value[i])!r} to {float(value[i])!r} ({where(i)})"
+                    )
+                done[i] = gain < config.convergence_eps
+                if gain >= SLOW_GAIN_RATIO * last_gain[i]:
+                    omega[i] = min(OMEGA_GROWTH, OMEGA_MAX)
+                last_gain[i] = gain
         better = value > best_value[ids]
         if better.any():
             at = ids[better]
@@ -272,44 +421,52 @@ def _see_saw_batch(
             best_weights[at] = weights[better]
             best_directions[at] = directions[better]
             best_eta[at] = eta[better]
+        if all(take):
+            kept_weights, kept_directions, kept_eta, kept_value = weights, directions, eta, value
+        else:
+            mask = np.array(take)
+            kept_weights = np.where(mask[:, None], weights, kept_weights)
+            kept_directions = np.where(mask[:, None, None], directions, kept_directions)
+            kept_eta = np.where(mask[:, None, None], eta, kept_eta)
+            kept_value = np.where(mask, value, kept_value)
+        history.append((ids, kept_value))
         if sweep == config.max_iters:
             sweeps[ids] = sweep
             break
-        if previous is not None:
-            done = value - previous < config.convergence_eps
-            if done.any():
-                sweeps[ids[done]] = sweep
-                going = ~done
-                if not going.any():
-                    break
-                ids, weights, directions, eta, value, live = (
-                    ids[going], weights[going], directions[going], eta[going], value[going], live[going]
-                )
-                gather = gather and not live.all()
-        previous = value
-
-        # M_a <- L^(-1/2) G_a M_a G_a L^(-1/2) with G_a = Phi(eta_a), L = sum_a G_a M_a G_a
-        if gather:
-            pulled = np.zeros_like(directions)
-            pulled[live] = (_phi_batch(ens, _signal_overlaps(ens, eta[live])) @ directions[live][..., None])[..., 0]
-        else:
-            pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
-        update_op = (pulled.swapaxes(1, 2) * weights[:, None, :]) @ pulled.conj()
-        moved = pulled @ _pinv_sqrt(update_op, where).swapaxes(1, 2)
-        norms = np.linalg.norm(moved, axis=2)
-        weights = weights * norms**2
-        keep = weights >= WEIGHT_PRUNE_EPS
-        empty = np.flatnonzero(~keep.any(axis=1))
-        if empty.size:
-            raise SingularUpdateError(
-                f"all outcomes pruned during measurement update ({where(empty[0])})"
+        if any(done):
+            going = ~np.array(done)
+            sweeps[ids[~going]] = sweep
+            if not going.any():
+                break
+            ids, kept_weights, kept_directions, kept_eta, kept_value = (
+                ids[going], kept_weights[going], kept_directions[going], kept_eta[going], kept_value[going]
             )
-        weights = np.where(keep, weights, 0.0)
-        directions = np.where(keep[..., None], moved / np.where(keep, norms, 1.0)[..., None], directions)
-        resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
-        lost = np.flatnonzero(np.linalg.norm(resolution - np.eye(dim), axis=(1, 2)) > COMPLETENESS_TOL)
-        if lost.size:
-            raise SingularUpdateError(f"measurement update lost completeness ({where(lost[0])})")
+            plain = tuple(array[going] for array in plain)
+            omega, last_gain, take = (list(itertools.compress(x, going)) for x in (omega, last_gain, take))
+
+        # a start whose candidate was rejected scores the plain step it stored
+        if all(take):
+            plain = _plain_step(ens, kept_weights, kept_directions, kept_eta, where)
+        elif any(take):
+            rows = np.flatnonzero(take)
+            stepped = _plain_step(
+                ens, kept_weights[rows], kept_directions[rows], kept_eta[rows], lambda i: where(rows[i])
+            )
+            plain = tuple(array.copy() for array in plain)
+            for array, new in zip(plain, stepped):
+                array[rows] = new
+        weights, directions, factors = plain
+        relaxed = np.array(omega) > 1.0
+        if relaxed.any():
+            # d live outcomes that resolve the identity are a basis of weight 1: its candidate is the plain step
+            relaxed &= np.count_nonzero(weights, axis=1) > dim
+            candidate = _over_relaxed(weights, directions, factors, np.array(omega))
+            candidate_weights, candidate_directions, ok = candidate
+            # a candidate that is not a measurement gives way to the plain step, unscored
+            relaxed &= ok
+            omega = [w if r else 1.0 for w, r in zip(omega, relaxed.tolist())]
+            weights = np.where(relaxed[:, None], candidate_weights, weights)
+            directions = np.where(relaxed[:, None, None], candidate_directions, directions)
 
     trace = np.full((len(history), n_starts), np.nan)
     for row, (active, values) in zip(trace, history):
@@ -343,22 +500,40 @@ def see_saw(
 ) -> SeeSawResult:
     """Monotone alternating maximization of the average fidelity.
 
-    Each sweep (i) takes the exact best reconstruction for the current
-    measurement (top eigenvector of d * Phi(chi_a) per outcome) and then
-    (ii) improves the measurement for that fixed reconstruction with the
+    Each sweep scores one measurement: it takes the exact best
+    reconstruction for it (top eigenvector of d * Phi(chi_a) per outcome)
+    and its fidelity. From the accepted measurement the plain step is the
     fixed-point update M_a <- L^(-1/2) G_a M_a G_a L^(-1/2), where
-    G_a = Phi(sigma_a) and L = sum_a G_a M_a G_a, taken on the support of L.
-    Rank-1 elements stay rank-1 under the update; outcomes whose weight
-    falls below WEIGHT_PRUNE_EPS are dropped and completeness is
-    re-verified. Terminates when the per-sweep gain drops below
-    ``convergence_eps`` or after ``max_iters`` sweeps.
+    G_a = Phi(sigma_a) and L = sum_a G_a M_a G_a, taken on the support of L:
+    direction chi'_a ~ L^(-1/2) G_a chi_a and weight m_a s_a with
+    s_a = |L^(-1/2) G_a chi_a|^2. Rank-1 elements stay rank-1; outcomes
+    whose weight falls below WEIGHT_PRUNE_EPS are dropped and completeness
+    is re-verified to 1e-9.
 
-    The recorded fidelity sequence is non-decreasing to 1e-12 per sweep;
-    a larger decrease raises NonMonotoneError, since the update scheme
-    guarantees monotone ascent and any violation signals a numerical bug.
-    The returned measurement, reconstruction, and fidelity come from the
-    best evaluated sweep and are mutually consistent. This is the batch
-    kernel of :func:`optimal_fidelity` run on a batch of one start.
+    The step is over-relaxed adaptively with a factor omega per start. The
+    first step is plain. After a plain step that gains at least
+    SLOW_GAIN_RATIO (0.9) times the last accepted gain, omega becomes 1.5
+    and the next sweep scores a candidate instead: weights m_a s_a^omega on
+    the directions chi'_a, made complete again by W^(-1/2) with
+    W = sum_a m_a s_a^omega chi'_a chi'_a^dagger, then pruned and checked
+    as the plain step is. A candidate whose fidelity is at least the
+    accepted one is accepted and omega grows 1.5-fold, up to 50; one that
+    gains less than ``convergence_eps`` resets omega to 1. A rejected
+    candidate gives way to the stored plain step, with omega at 1 and the
+    accepted resend directions as warm-start guesses. A candidate that is
+    not a measurement, or a start with d outcomes (a basis of weight 1,
+    whose candidate is the plain step), takes the plain step unscored.
+
+    A start stops when a plain step gains less than ``convergence_eps`` or
+    after ``max_iters`` sweeps. Every sweep counts, rejected candidates
+    included, so ``iterations`` counts the top-eigenpair evaluations. The
+    recorded trace holds the accepted fidelity after each sweep and is
+    non-decreasing to 1e-12 per sweep: a plain step that lowers the
+    fidelity by more raises NonMonotoneError, since the update guarantees
+    monotone ascent and any violation signals a numerical bug. The returned
+    measurement, reconstruction, and fidelity come from the best evaluated
+    sweep and are mutually consistent. This is the batch kernel of
+    :func:`optimal_fidelity` run on a batch of one start.
     """
     if ens.dim != initial.dim:
         raise DimensionMismatchError(f"ensemble dim {ens.dim} vs POVM dim {initial.dim}")
@@ -386,6 +561,7 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     """
     config = config or OptimizerConfig()
     dim, n_bases = ens.dim, ens.n_bases
+    check_kernel_size(config, dim, n_bases)
     n_outcomes = config.n_outcomes(dim)
 
     weights = np.zeros((n_bases + config.restarts, n_outcomes))
@@ -406,6 +582,7 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
         restart_trace=tuple(float(f) for f in runs.fidelity),
         iterations=int(np.sum(runs.sweeps)),
         start_sweeps=tuple(int(n) for n in runs.sweeps),
+        best_start=best,
     )
 
 
@@ -429,18 +606,19 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
     fuchs = fuchs_lower_bound(d)
     q = 1.0 - search.fidelity
 
+    context = f"(seed {config.seed}, start {search.best_start})"
     if search.fidelity < floor - BOUND_SLACK:
         raise BoundViolationError(
-            f"fidelity {search.fidelity!r} below projective floor {floor!r}"
+            f"fidelity {search.fidelity!r} below projective floor {floor!r} {context}"
         )
     if search.fidelity < fuchs - BOUND_SLACK:
         raise BoundViolationError(
-            f"fidelity {search.fidelity!r} below accessible-fidelity floor {fuchs!r}"
+            f"fidelity {search.fidelity!r} below accessible-fidelity floor {fuchs!r} {context}"
         )
     if n <= d + 1 and q > q_small + BOUND_SLACK:
-        raise BoundViolationError(f"incompatibility {q!r} above cap {q_small!r}")
+        raise BoundViolationError(f"incompatibility {q!r} above cap {q_small!r} {context}")
     if q > q_large + BOUND_SLACK:
-        raise BoundViolationError(f"incompatibility {q!r} above cap {q_large!r}")
+        raise BoundViolationError(f"incompatibility {q!r} above cap {q_large!r} {context}")
 
     return IncompatibilityReport(
         incompatibility=q,

@@ -174,6 +174,38 @@ class TestMeasureCommand:
         assert "synthetic" in err
 
 
+class TestSizeCaps:
+    """A search too large for the see-saw's byte budget exits 2 before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (("--restarts", "100000000"), "restarts 100000000"),
+            (("--restarts", "1", "--outcomes", "1000000000"), "outcomes 1000000000"),
+        ],
+    )
+    def test_flag_too_large(self, tmp_path, capsys, monkeypatch, flags, field):
+        from qincompat import optimizer
+
+        monkeypatch.setattr(optimizer, "random_povm", None)
+        code, out, err = run(capsys, "measure", write_zx(tmp_path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} is too large: the see-saw would hold ")
+
+    def test_document_dim_too_large_is_rejected_before_its_items(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(documents, "_item_arrays", None)
+        # the one item does not even have the stated shape: the size is judged first
+        code, out, err = measure_error(tmp_path, capsys, [Z_ITEM], dim=4096)
+        assert code == 2
+        assert err.startswith("error: dim 4096 is too large: the see-saw would hold 2 x 16777216 x 4096 x 4096 ")
+
+    def test_entropic_checks_the_size_too(self, tmp_path, capsys):
+        code, _, err = run(capsys, "entropic", write_zx(tmp_path), "--restarts", "100000000")
+        assert code == 2
+        assert "restarts 100000000 is too large" in err
+
+
 def measure_error(tmp_path, capsys, items, dim=2):
     """Exit code, stdout and stderr of ``measure`` on a document of these items."""
     path = tmp_path / "doc.json"

@@ -190,7 +190,7 @@ def eigh_rows(monkeypatch):
 
 
 class TestWarmTopEig:
-    """batched_top_eig with a guess: one certified Rayleigh-quotient step, eigh where it fails."""
+    """batched_top_eig with a guess: certified Rayleigh-quotient steps, eigh where they fail."""
 
     DIM = linalg.WARM_MIN_DIM
 
@@ -213,6 +213,22 @@ class TestWarmTopEig:
         overlap = np.abs(np.sum(top_vecs.conj() * eta, axis=1))
         assert np.all(overlap[clear] >= 1.0 - 1e-12)
         # the value is the Rayleigh quotient of the returned vector
+        quotient = np.einsum("ai,aij,aj->a", eta.conj(), matrices, eta).real
+        np.testing.assert_allclose(lam, quotient, rtol=0, atol=1e-16)
+
+    def test_rows_that_miss_take_a_second_step(self, eigh_rows):
+        rng = np.random.default_rng(15)
+        matrices = random_psd_stack(50, self.DIM, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        guess = near(vecs[:, :, -1], 1e-2, rng)
+        # one step from these guesses misses the residual on every row
+        _, _, passed = linalg._rayleigh_step(matrices, guess)
+        assert not passed.any()
+        eigh_rows.clear()
+        lam, eta = linalg.batched_top_eig(matrices, guess)
+        assert eigh_rows == []
+        assert np.all(lam <= vals[:, -1] + 1e-15)
+        assert np.all(vals[:, -1] - lam < linalg.WARM_CERTIFICATE_SHIFT / self.DIM)
         quotient = np.einsum("ai,aij,aj->a", eta.conj(), matrices, eta).real
         np.testing.assert_allclose(lam, quotient, rtol=0, atol=1e-16)
 

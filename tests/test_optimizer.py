@@ -10,7 +10,7 @@ from qincompat import (
     shared_eigenvector_pair,
 )
 from qincompat import optimizer
-from qincompat.errors import SingularUpdateError
+from qincompat.errors import BoundViolationError, SingularUpdateError
 from qincompat.fidelity import (
     Povm,
     achievable_fidelity,
@@ -18,6 +18,7 @@ from qincompat.fidelity import (
 )
 from qincompat.observables import signal_ensemble
 from qincompat.optimizer import (
+    check_kernel_size,
     fuchs_lower_bound,
     optimal_fidelity,
     q_upper_bounds,
@@ -36,50 +37,99 @@ FAST = OptimizerConfig(restarts=4, seed=0)
 
 
 def reference_see_saw(ens, initial, config):
-    """The per-start see-saw loop that the lock-step batch kernel replaced.
+    """The see-saw of one start as a plain loop, with the kernel's accept/reject rule.
 
     Builds Phi from the (Nd, d, d) projector stack and shrinks the arrays
-    when it prunes. Returns (fidelity, sweeps, outcomes left at the end).
+    when it prunes. Each sweep scores one point. After an accepted sweep
+    the next point is the plain step from it, or, once omega > 1, the
+    candidate with weights m_a s_a^omega on the plain step's directions,
+    completed by W^(-1/2). A candidate is accepted when its fidelity is at
+    least the accepted one; a rejected candidate gives way to the plain step
+    with omega reset to 1. Omega leaves 1 after a plain step that gains at
+    least 0.9 times the last accepted gain, and never for a basis (d outcomes).
+    Returns (fidelity, sweeps, outcomes of the best point).
     """
     kets = ens.kets
     stack = ens.state_projectors
+    eye = np.eye(ens.dim)
+
+    def phi(directions):
+        probs = np.abs(kets.conj() @ directions.T) ** 2
+        return np.einsum("ka,kij->aij", probs, stack) / ens.n_states
+
+    def inverse_root(op):
+        vals, vecs = np.linalg.eigh(op)
+        inv = np.zeros_like(vals)
+        mask = vals > 1e-12 * vals[-1]
+        inv[mask] = 1.0 / np.sqrt(vals[mask])
+        return (vecs * inv) @ vecs.conj().T
+
+    def pruned(weights, moved, factor):
+        """Unit directions of ``moved`` with weights * |moved|^2, pruned; None when not a measurement."""
+        weights = weights * np.linalg.norm(moved, axis=1) ** 2
+        keep = weights >= WEIGHT_PRUNE_EPS
+        weights, moved, factor = weights[keep], moved[keep], factor[keep]
+        directions = moved / np.linalg.norm(moved, axis=1)[:, None]
+        resolution = np.einsum("a,ai,aj->ij", weights, directions, directions.conj())
+        if not keep.any() or np.linalg.norm(resolution - eye) > 1e-9:
+            return None
+        return weights, directions, factor
+
+    def plain_step(weights, directions, eta):
+        pulled = np.einsum("aij,aj->ai", phi(eta), directions)
+        update_op = np.einsum("a,ai,aj->ij", weights, pulled, pulled.conj())
+        moved = pulled @ inverse_root(update_op).T
+        step = pruned(weights, moved, np.linalg.norm(moved, axis=1) ** 2)
+        assert step is not None
+        return step
+
+    def candidate(plain_weights, plain_directions, factor, omega):
+        tilted = plain_weights / factor * factor**omega
+        frame = np.einsum("a,ai,aj->ij", tilted, plain_directions, plain_directions.conj())
+        step = pruned(tilted, plain_directions @ inverse_root(frame).T, factor)
+        return None if step is None else step[:2]
+
     weights = initial.weights.copy()
     directions = initial.directions.copy()
-    best_value = -np.inf
-    previous = None
+    best_value, best_outcomes = -np.inf, 0
+    kept = None
+    omega, last_gain = 1.0, np.inf
     sweeps = 0
     for sweep in range(1, config.max_iters + 1):
         sweeps = sweep
-        probs = np.abs(kets.conj() @ directions.T) ** 2
-        phi = np.einsum("ka,kij->aij", probs, stack) / ens.n_states
-        vals, vecs = np.linalg.eigh(phi)
-        lam, eta = vals[:, -1], vecs[:, :, -1]
-        value = float(weights @ lam)
-        assert previous is None or value >= previous - 1e-12
-        best_value = max(best_value, value)
-        if previous is not None and value - previous < config.convergence_eps:
+        vals, vecs = np.linalg.eigh(phi(directions))
+        eta = vecs[:, :, -1]
+        value = float(weights @ vals[:, -1])
+        if value > best_value:
+            best_value, best_outcomes = value, weights.shape[0]
+        relaxed, take, gain = omega > 1.0, True, np.inf
+        if kept is not None:
+            gain = value - kept[3]
+            if relaxed:
+                take = gain >= 0.0
+                omega = min(1.5 * omega, 50.0) if take and gain >= config.convergence_eps else 1.0
+                last_gain = gain if take else 0.0
+            else:
+                assert gain >= -1e-12
+                if gain >= 0.9 * last_gain:
+                    omega = 1.5
+                last_gain = gain
+        if take:
+            kept = (weights, directions, eta, value)
+        if sweep == config.max_iters or (not relaxed and gain < config.convergence_eps):
             break
-        previous = value
-        if sweep == config.max_iters:
-            break
-        resend_probs = np.abs(kets.conj() @ eta.T) ** 2
-        gain_ops = np.einsum("ka,kij->aij", resend_probs, stack) / ens.n_states
-        pulled = np.einsum("aij,aj->ai", gain_ops, directions)
-        update_op = np.einsum("a,ai,aj->ij", weights, pulled, pulled.conj())
-        uvals, uvecs = np.linalg.eigh(update_op)
-        inv = np.zeros_like(uvals)
-        mask = uvals > 1e-12 * uvals[-1]
-        inv[mask] = 1.0 / np.sqrt(uvals[mask])
-        moved = pulled @ ((uvecs * inv) @ uvecs.conj().T).T
-        weights = weights * np.linalg.norm(moved, axis=1) ** 2
-        keep = weights >= WEIGHT_PRUNE_EPS
-        assert np.any(keep)
-        weights = weights[keep]
-        moved = moved[keep]
-        directions = moved / np.linalg.norm(moved, axis=1)[:, None]
-        resolution = np.einsum("a,ai,aj->ij", weights, directions, directions.conj())
-        assert np.linalg.norm(resolution - np.eye(ens.dim)) <= 1e-9
-    return best_value, sweeps, weights.shape[0]
+        if take:
+            plain = plain_step(*kept[:3])
+        weights, directions = plain[:2]
+        if omega > 1.0 and len(plain[0]) > ens.dim:
+            over = candidate(*plain, omega)
+            if over is None:
+                omega = 1.0
+            else:
+                weights, directions = over
+        else:
+            omega = 1.0
+    return best_value, sweeps, best_outcomes
 
 
 def search_starts(ens, config):
@@ -141,6 +191,33 @@ class TestOptimizerConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+
+class TestKernelSize:
+    """The see-saw's Phi stack of (N + restarts) x outcomes x d x d complex entries has a byte budget."""
+
+    def test_default_search_fits(self):
+        check_kernel_size(OptimizerConfig(), 8, 3)
+
+    @pytest.mark.parametrize(
+        "config,dim,field",
+        [
+            (OptimizerConfig(restarts=10**8), 2, r"restarts 100000000 is too large"),
+            (OptimizerConfig(restarts=1, outcomes=10**9), 2, r"outcomes 1000000000 is too large"),
+            (OptimizerConfig(restarts=1), 4096, r"dim 4096 is too large"),
+            (OptimizerConfig(restarts=10**8, outcomes=10**9), 4096, r"dim 4096 is too large"),
+        ],
+    )
+    def test_names_the_field_to_lower(self, config, dim, field):
+        with pytest.raises(ValueError, match=field):
+            check_kernel_size(config, dim, 2)
+
+    def test_search_checks_before_it_allocates(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "KERNEL_BYTE_BUDGET", 1000)
+        monkeypatch.setattr(optimizer, "random_povm", None)
+        expected = r"^restarts 4 is too large: .* hold 6 x 4 x 2 x 2 complex entries \(1536 bytes\)"
+        with pytest.raises(ValueError, match=expected):
+            incompatibility(mub_bases(2, 2), FAST)
 
 
 class TestUpdateOperator:
@@ -279,6 +356,47 @@ class TestBatchedKernel:
             optimal_fidelity(ens, OptimizerConfig(restarts=1))
 
 
+class TestOverRelaxation:
+    """The adaptive over-relaxed step: what it keeps of the plain see-saw and what it buys."""
+
+    def test_first_step_is_the_plain_update(self):
+        # the fixed-point update written out: after one step every start holds its bits
+        from qincompat.fidelity import _phi_batch, _signal_overlaps
+        from qincompat.optimizer import _pinv_sqrt, _see_saw_batch
+
+        for dim in (3, 6):
+            ens = random_ensemble(dim, 2, np.random.default_rng(dim))
+            config = OptimizerConfig(restarts=3, seed=1, max_iters=2)
+            starts = search_starts(ens, config)[ens.n_bases:]
+            weights = np.stack([start.weights for start in starts])
+            directions = np.stack([start.directions for start in starts])
+            _, eta = np.linalg.eigh(_phi_batch(ens, _signal_overlaps(ens, directions)))
+            eta = eta[..., :, -1]
+            pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
+            update_op = (pulled.swapaxes(1, 2) * weights[:, None, :]) @ pulled.conj()
+            moved = pulled @ _pinv_sqrt(update_op).swapaxes(1, 2)
+            norms = np.linalg.norm(moved, axis=2)
+            runs = _see_saw_batch(ens, weights, directions, config)
+            assert np.all(runs.sweeps == 2)
+            assert np.all(runs.traces[0][1] > runs.traces[0][0])
+            np.testing.assert_array_equal(runs.weights, weights * norms**2)
+            np.testing.assert_array_equal(runs.directions, moved / norms[..., None])
+
+    def test_unbiased_qutrit_pair_converges_before_the_cap(self):
+        search = optimal_fidelity(signal_ensemble(mub_bases(3, 2)), FAST)
+        assert max(search.start_sweeps) < FAST.max_iters
+        assert abs(search.fidelity - 2.0 / 3.0) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_reaches_the_tightly_converged_plain_value(self, seed, monkeypatch):
+        ens = random_ensemble(4, 2, np.random.default_rng(seed))
+        search = optimal_fidelity(ens, FAST)
+        monkeypatch.setattr(optimizer, "OMEGA_MAX", 1.0)  # every step plain
+        tight = optimal_fidelity(ens, OptimizerConfig(restarts=4, seed=0, convergence_eps=1e-15, max_iters=40000))
+        assert max(tight.start_sweeps) < 40000
+        assert abs(search.fidelity - tight.fidelity) <= 1e-9
+
+
 class TestOptimalFidelity:
     @pytest.mark.parametrize("dim,count", [(2, 2), (2, 3), (3, 2), (3, 4), (5, 6)])
     def test_unbiased_bases_closed_form(self, dim, count):
@@ -354,6 +472,18 @@ class TestIncompatibility:
         assert np.array_equal(a.best_povm.weights, b.best_povm.weights)
         assert np.array_equal(a.best_povm.directions, b.best_povm.directions)
         assert np.array_equal(a.best_reconstruction.states, b.best_reconstruction.states)
+
+
+class TestBoundViolationContext:
+    def test_message_names_seed_and_reported_start(self, monkeypatch):
+        config = OptimizerConfig(restarts=3, seed=7)
+        search = optimal_fidelity(signal_ensemble(mub_bases(2, 2)), config)
+        assert search.fidelity == search.restart_trace[search.best_start]
+        assert search.best_start == search.restart_trace.index(search.fidelity)
+        monkeypatch.setattr(optimizer, "BOUND_SLACK", -1.0)
+        expected = rf"below projective floor .* \(seed 7, start {search.best_start}\)$"
+        with pytest.raises(BoundViolationError, match=expected):
+            incompatibility(mub_bases(2, 2), config)
 
 
 class TestQubitGridOracle:
