@@ -21,10 +21,6 @@ class DegenerateSpectrumError(QincompatError):
     """An observable has near-degenerate eigenvalues, so its eigenbasis is ambiguous."""
 
 
-class NoValidSubsetError(QincompatError):
-    """No scan order produced a valid minimal noncommuting subset."""
-
-
 class NotPrimeError(QincompatError):
     """The unbiased-bases construction requires a prime dimension."""
 

@@ -19,7 +19,6 @@ from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     NotPrimeError,
-    NoValidSubsetError,
     TooManyBasesError,
 )
 from .tolerances import BASIS_GRAM_TOL, COMMUTATION_TOL, DEGENERACY_TOL, MUB_TOL, STATE_NORM_TOL
@@ -263,39 +262,23 @@ def _commutation_matrix(obs: ObservableSet) -> np.ndarray:
     return _commutator_norms(overlaps) <= COMMUTATION_TOL
 
 
-def _greedy_subset(commuting: np.ndarray, order) -> list[int]:
-    kept: list[int] = []
-    for idx in order:
-        if not commuting[idx, kept].any():
-            kept.append(idx)
-    return kept
-
-
-def _covers_excluded(commuting: np.ndarray, kept: list[int]) -> bool:
-    kept_set = set(kept)
-    return all(commuting[i, kept].any() for i in range(len(commuting)) if i not in kept_set)
-
-
 def minimal_noncommuting_subset(obs: ObservableSet) -> ObservableSet:
     """Extract a minimal noncommuting subset of an observable set.
 
-    The returned subset S satisfies (i) all members of S pairwise noncommute
-    and (ii) every excluded observable commutes with at least one member of
-    S. If all inputs pairwise commute the subset is a single member. Greedy
-    over input order; if the cover property (ii) fails for that order, the
-    greedy scan is retried from each rotated start index, and
-    NoValidSubsetError is raised if no start works. Every scan reads one
-    N x N commutation matrix built from the overlaps of all members at once.
+    One greedy scan in input order keeps each member that commutes with no
+    member kept before it, so the subset S satisfies (i) all members of S
+    pairwise noncommute and (ii) every excluded observable commutes with at
+    least one member of S: it was left out for commuting with one, and kept
+    members are never dropped. If all inputs pairwise commute, S is a single
+    member. The scan reads one N x N commutation matrix built from the
+    overlaps of all members at once.
     """
-    members = obs.members
-    n = len(members)
     commuting = _commutation_matrix(obs)
-    for start in range(n):
-        order = list(range(start, n)) + list(range(start))
-        kept = _greedy_subset(commuting, order)
-        if _covers_excluded(commuting, kept):
-            return ObservableSet(tuple(members[k] for k in kept))
-    raise NoValidSubsetError("no start index yields a subset with both defining properties")
+    kept: list[int] = []
+    for idx in range(obs.count):
+        if not commuting[idx, kept].any():
+            kept.append(idx)
+    return ObservableSet(tuple(obs.members[k] for k in kept))
 
 
 def signal_ensemble(obs: ObservableSet) -> SignalEnsemble:
@@ -360,16 +343,12 @@ def is_mutually_unbiased(obs: ObservableSet) -> bool:
     """True iff every pair of bases in the set is mutually unbiased.
 
     Intra-basis overlaps must match the identity and every cross-basis
-    squared overlap must equal 1/d, each within MUB_TOL.
+    squared overlap must equal 1/d, each within MUB_TOL. All of them come
+    from one Gram matrix of the N*d member vectors.
     """
-    d = obs.dim
-    eye = np.eye(d)
-    for i, a in enumerate(obs.members):
-        intra = np.abs(a.vectors.conj() @ a.vectors.T) ** 2
-        if np.max(np.abs(intra - eye)) > MUB_TOL:
-            return False
-        for b in obs.members[i + 1 :]:
-            cross = np.abs(a.vectors.conj() @ b.vectors.T) ** 2
-            if np.max(np.abs(cross - 1.0 / d)) > MUB_TOL:
-                return False
-    return True
+    n, d = obs.count, obs.dim
+    kets = np.concatenate([b.vectors for b in obs.members])
+    overlaps = np.abs(kets.conj() @ kets.T) ** 2
+    basis = np.arange(n * d) // d
+    target = np.where(basis[:, None] == basis[None, :], np.eye(n * d), 1.0 / d)
+    return bool(np.max(np.abs(overlaps - target)) <= MUB_TOL)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,16 +104,16 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.outcomes is not None and self.outcomes < 1:
-            raise ValueError("outcomes must be positive when given")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name, least in (("restarts", 1), ("outcomes", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is None and name == "outcomes":
+                continue
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            # stored as a Python int: numpy integer arithmetic wraps, as in check_kernel_size's byte count
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.convergence_eps) and self.convergence_eps > 0):
             raise ValueError(f"convergence_eps must be positive and finite, got {self.convergence_eps!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
     def n_outcomes(self, dim: int) -> int:
         k = self.outcomes if self.outcomes is not None else dim * dim
@@ -151,17 +152,6 @@ def check_kernel_size(config: OptimizerConfig, dim: int, n_bases: int) -> None:
 
 
 @dataclass(frozen=True)
-class SeeSawResult:
-    """Converged state of one see-saw run."""
-
-    povm: Povm
-    reconstruction: ReconstructionMap
-    fidelity: float
-    iterations: int
-    fidelity_trace: np.ndarray
-
-
-@dataclass(frozen=True)
 class FidelitySearch:
     """Best strategy over all see-saw starts, with the per-start record.
 
@@ -170,7 +160,8 @@ class FidelitySearch:
     restarts. ``start_sweeps`` lists the sweeps of every start in the same
     order (a start at ``max_iters`` stopped at the cap, not by converging),
     and ``iterations`` is their sum. ``best_start`` indexes the start whose
-    strategy is reported.
+    strategy is reported. ``traces[s]`` holds the accepted fidelity of start
+    s after each of its sweeps.
     """
 
     fidelity: float
@@ -180,6 +171,7 @@ class FidelitySearch:
     iterations: int
     start_sweeps: tuple[int, ...]
     best_start: int
+    traces: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -481,24 +473,39 @@ def _see_saw_batch(
     )
 
 
-def _strategy(ens: SignalEnsemble, runs: _Runs, start: int) -> tuple[Povm, ReconstructionMap]:
-    """The best measurement and reconstruction of one start, weight-0 outcomes dropped."""
-    kept = runs.weights[start] > 0.0
-    eta = linalg.fix_phases(runs.eta[start][kept])
-    povm = Povm(
-        dim=ens.dim,
-        weights=runs.weights[start][kept],
-        directions=linalg.fix_phases(runs.directions[start][kept]),
+def _search(
+    ens: SignalEnsemble,
+    weights: np.ndarray,
+    directions: np.ndarray,
+    config: OptimizerConfig,
+) -> FidelitySearch:
+    """Run :func:`_see_saw_batch` from the given starts and report the best one.
+
+    Ties resolve to the earliest start. The reported strategy is that
+    start's best sweep with its weight-0 outcomes dropped and phases fixed.
+    """
+    runs = _see_saw_batch(ens, weights, directions, config)
+    best = int(np.argmax(runs.fidelity))
+    kept = runs.weights[best] > 0.0
+    eta = linalg.fix_phases(runs.eta[best][kept])
+    return FidelitySearch(
+        fidelity=float(runs.fidelity[best]),
+        povm=Povm(ens.dim, runs.weights[best][kept], linalg.fix_phases(runs.directions[best][kept])),
+        reconstruction=ReconstructionMap(states=eta[:, :, None] * eta.conj()[:, None, :]),
+        restart_trace=tuple(float(f) for f in runs.fidelity),
+        iterations=int(np.sum(runs.sweeps)),
+        start_sweeps=tuple(int(n) for n in runs.sweeps),
+        best_start=best,
+        traces=tuple(runs.traces),
     )
-    return povm, ReconstructionMap(states=eta[:, :, None] * eta.conj()[:, None, :])
 
 
 def see_saw(
     ens: SignalEnsemble,
     initial: Povm,
     config: OptimizerConfig | None = None,
-) -> SeeSawResult:
-    """Monotone alternating maximization of the average fidelity.
+) -> FidelitySearch:
+    """Monotone alternating maximization of the average fidelity from one start.
 
     Each sweep scores one measurement: it takes the exact best
     reconstruction for it (top eigenvector of d * Phi(chi_a) per outcome)
@@ -527,26 +534,17 @@ def see_saw(
     A start stops when a plain step gains less than ``convergence_eps`` or
     after ``max_iters`` sweeps. Every sweep counts, rejected candidates
     included, so ``iterations`` counts the top-eigenpair evaluations. The
-    recorded trace holds the accepted fidelity after each sweep and is
+    trace ``traces[0]`` holds the accepted fidelity after each sweep and is
     non-decreasing to 1e-12 per sweep: a plain step that lowers the
     fidelity by more raises NonMonotoneError, since the update guarantees
     monotone ascent and any violation signals a numerical bug. The returned
     measurement, reconstruction, and fidelity come from the best evaluated
-    sweep and are mutually consistent. This is the batch kernel of
+    sweep and are mutually consistent. This is the search of
     :func:`optimal_fidelity` run on a batch of one start.
     """
     if ens.dim != initial.dim:
         raise DimensionMismatchError(f"ensemble dim {ens.dim} vs POVM dim {initial.dim}")
-    config = config or OptimizerConfig()
-    runs = _see_saw_batch(ens, initial.weights[None], initial.directions[None], config)
-    povm, recon = _strategy(ens, runs, 0)
-    return SeeSawResult(
-        povm=povm,
-        reconstruction=recon,
-        fidelity=float(runs.fidelity[0]),
-        iterations=int(runs.sweeps[0]),
-        fidelity_trace=runs.traces[0],
-    )
+    return _search(ens, initial.weights[None], initial.directions[None], config or OptimizerConfig())
 
 
 def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None) -> FidelitySearch:
@@ -572,18 +570,7 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     rngs = [np.random.default_rng((config.seed, restart)) for restart in range(config.restarts)]
     weights[n_bases:], directions[n_bases:] = random_povm(dim, n_outcomes, rngs)
 
-    runs = _see_saw_batch(ens, weights, directions, config)
-    best = int(np.argmax(runs.fidelity))
-    povm, recon = _strategy(ens, runs, best)
-    return FidelitySearch(
-        fidelity=float(runs.fidelity[best]),
-        povm=povm,
-        reconstruction=recon,
-        restart_trace=tuple(float(f) for f in runs.fidelity),
-        iterations=int(np.sum(runs.sweeps)),
-        start_sweeps=tuple(int(n) for n in runs.sweeps),
-        best_start=best,
-    )
+    return _search(ens, weights, directions, config)
 
 
 def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -> IncompatibilityReport:

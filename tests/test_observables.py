@@ -275,6 +275,11 @@ class TestIsMutuallyUnbiased:
         # overlap is 0.5 + O(angle), far outside 1e-10
         tilted = rotated_qubit_basis(np.pi / 4 + 0.1, label="tilted")
         assert not is_mutually_unbiased(ObservableSet((Z_BASIS, tilted)))
+        # an equatorial basis past Y: unbiased to Z, biased to X, so only the (1, 2) pair fails
+        phase = np.exp(1j * (np.pi / 2 + 0.1))
+        equatorial = Eigenbasis(np.array([[1, phase], [1, -phase]]) / np.sqrt(2), label="equatorial")
+        assert is_mutually_unbiased(ObservableSet((Z_BASIS, equatorial)))
+        assert not is_mutually_unbiased(ObservableSet((Z_BASIS, X_BASIS, equatorial)))
 
     def test_accepts_constructions(self):
         assert is_mutually_unbiased(mub_bases(5, 3))

@@ -10,7 +10,7 @@ from qincompat import (
     shared_eigenvector_pair,
 )
 from qincompat import optimizer
-from qincompat.errors import BoundViolationError, SingularUpdateError
+from qincompat.errors import BoundViolationError, NonMonotoneError, SingularUpdateError
 from qincompat.fidelity import (
     Povm,
     achievable_fidelity,
@@ -192,6 +192,16 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["restarts", "outcomes", "max_iters", "seed"])
+    def test_rejects_non_integer_counts(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= [01], got 2\.5$"):
+            OptimizerConfig(**{field: 2.5})
+
+    def test_accepts_numpy_integers(self):
+        config = OptimizerConfig(restarts=np.int64(2), outcomes=np.int32(4), max_iters=np.uint16(10), seed=np.int8(3))
+        assert config == OptimizerConfig(restarts=2, outcomes=4, max_iters=10, seed=3)
+        assert all(type(value) is int for value in (config.restarts, config.outcomes, config.max_iters, config.seed))
+
 
 class TestKernelSize:
     """The see-saw's Phi stack of (N + restarts) x outcomes x d x d complex entries has a byte budget."""
@@ -267,7 +277,7 @@ class TestSeeSaw:
             ens = random_ensemble(2, 2, rng)
             start = one_random_povm(2, 4, rng)
             result = see_saw(ens, start)
-            gains = np.diff(result.fidelity_trace)
+            gains = np.diff(result.traces[0])
             assert np.all(gains >= -1e-12)
 
     def test_final_triple_is_consistent(self, rng):
@@ -314,7 +324,7 @@ class TestBatchedKernel:
                 assert search.start_sweeps[index] == sweeps == alone.iterations
                 assert abs(search.restart_trace[index] - value) <= 1e-12
                 assert abs(alone.fidelity - search.restart_trace[index]) <= 1e-12
-                assert len(alone.fidelity_trace) == sweeps
+                assert len(alone.traces[0]) == sweeps
         assert sum(accepted) > 100
 
     def test_pruned_start_matches_reference(self):
@@ -354,6 +364,12 @@ class TestBatchedKernel:
         ens = signal_ensemble(mub_bases(2, 2))
         with pytest.raises(SingularUpdateError, match=r"all outcomes pruned .*\(start 0, sweep 1\)"):
             optimal_fidelity(ens, OptimizerConfig(restarts=1))
+
+    def test_fall_error_names_start_and_sweep(self, monkeypatch):
+        # below 0 the guard reads the flat first plain step of a projective start as a fall
+        monkeypatch.setattr(optimizer, "MONOTONE_TOL", -1.0)
+        with pytest.raises(NonMonotoneError, match=r"^fidelity fell from .* \(start 0, sweep 2\)$"):
+            optimal_fidelity(signal_ensemble(mub_bases(3, 2)), FAST)
 
 
 class TestOverRelaxation:
