@@ -325,6 +325,8 @@ def incompatibility_report_to_dict(report: IncompatibilityReport) -> dict:
         "q_upper_small_n": report.q_upper_small_n,
         "q_upper_large_n": report.q_upper_large_n,
         "fuchs_floor": report.fuchs_floor,
+        "fidelity_upper": report.fidelity_upper,
+        "optimality_gap": report.optimality_gap,
         "iterations_used": report.iterations_used,
         "restart_trace": list(report.restart_trace),
         "start_sweeps": list(report.start_sweeps),

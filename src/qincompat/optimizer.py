@@ -6,23 +6,29 @@ ensemble. The supremum over measurements has no closed form in general, so
 :func:`optimal_fidelity` runs a monotone see-saw from every projective
 eigenbasis measurement plus a configurable number of random starts, and
 reports the best value found. That value is always a certified lower bound
-on the true supremum (every iterate is an actual strategy); closed-form
-upper bounds are attached so callers can see how tight it is:
+on the true supremum (every iterate is an actual strategy). Every set also
+gets a rigorous upper bound, the spectral cap of :func:`spectral_cap`,
+which is exact on complete sets of unbiased bases: the search stops as soon
+as its best start comes within GAP_TOL of the cap, and the report then reads
+``certified-within-gap``. Starts whose values differ by at most TIE_TOL are
+tied, and the earliest of them is reported, so float noise does not pick the
+strategy. Closed-form bounds are checked as well:
 
 * achievable fidelity is at least (N + d - 1)/(N d), the projective
   baseline, so incompatibility is at most (1 - 1/N)(1 - 1/d),
 * incompatibility is at most (d - 1)/(d + 1) in any case, via the
   accessible-fidelity floor 2/(d + 1) (Fuchs) for pure-state ensembles,
 * for mutually unbiased bases both the fidelity and the measure are known
-  exactly, and the projective baseline attains them.
+  exactly, and the projective baseline attains them,
+* fidelity is at most the spectral cap.
 
 The measurement step is the fixed-point iteration of Jezek, Rehacek and
 Fiurasek (PRA 65, 060301(R), 2002), which converges linearly. Each start
 over-relaxes it adaptively (Salakhutdinov and Roweis, ICML 2003): once the
 plain step's gains shrink slowly, the start tries the step's weight factors
 raised to a power omega > 1, keeps the result only if the fidelity did not
-fall, and otherwise takes the plain step with omega back at 1. A start stops
-only on a plain step that gains less than ``convergence_eps``. See
+fall, and otherwise takes the plain step with omega back at 1. A start
+converges only on a plain step that gains less than ``convergence_eps``. See
 :func:`see_saw` for the rule.
 
 Reports are deterministic: restart r draws from a stream seeded by
@@ -64,8 +70,11 @@ from .tolerances import (
     BOUND_SLACK,
     COMPLETENESS_TOL,
     CONVERGENCE_EPS,
+    GAP_TOL,
     MONOTONE_TOL,
     PINV_CUTOFF,
+    SPECTRAL_CAP_SLACK,
+    TIE_TOL,
     WEIGHT_PRUNE_EPS,
 )
 
@@ -108,12 +117,14 @@ class OptimizerConfig:
             value = getattr(self, name)
             if value is None and name == "outcomes":
                 continue
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            # bool is an Integral, but restarts=True is a mistake, not 1
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             # stored as a Python int: numpy integer arithmetic wraps, as in check_kernel_size's byte count
             object.__setattr__(self, name, int(value))
-        if not (math.isfinite(self.convergence_eps) and self.convergence_eps > 0):
-            raise ValueError(f"convergence_eps must be positive and finite, got {self.convergence_eps!r}")
+        eps = self.convergence_eps
+        if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
+            raise ValueError(f"convergence_eps must be positive and finite, got {eps!r}")
 
     def n_outcomes(self, dim: int) -> int:
         k = self.outcomes if self.outcomes is not None else dim * dim
@@ -155,13 +166,16 @@ def check_kernel_size(config: OptimizerConfig, dim: int, n_bases: int) -> None:
 class FidelitySearch:
     """Best strategy over all see-saw starts, with the per-start record.
 
-    ``restart_trace`` lists the converged fidelity of every start in run
-    order: the N projective eigenbasis seeds first, then the random
-    restarts. ``start_sweeps`` lists the sweeps of every start in the same
-    order (a start at ``max_iters`` stopped at the cap, not by converging),
-    and ``iterations`` is their sum. ``best_start`` indexes the start whose
-    strategy is reported. ``traces[s]`` holds the accepted fidelity of start
-    s after each of its sweeps.
+    ``restart_trace`` lists, in run order, each start's best fidelity when
+    the batch stopped (at its own convergence, at ``max_iters``, or when
+    the best start met the cap): the N projective eigenbasis seeds first,
+    then the random restarts. ``start_sweeps`` lists the sweeps of every
+    start in the same order (a start at ``max_iters`` stopped at the sweep
+    limit, not by converging), and ``iterations`` is their sum. ``best_start``
+    indexes the start whose strategy is reported: the earliest whose value
+    is within TIE_TOL of the best. ``traces[s]`` holds the accepted fidelity
+    of start s after each of its sweeps. ``fidelity_upper`` is the cap the
+    search stopped against, inf when it was given none.
     """
 
     fidelity: float
@@ -172,6 +186,7 @@ class FidelitySearch:
     start_sweeps: tuple[int, ...]
     best_start: int
     traces: tuple[np.ndarray, ...]
+    fidelity_upper: float
 
 
 @dataclass(frozen=True)
@@ -183,8 +198,12 @@ class IncompatibilityReport:
     ``q_upper_*`` fields are the closed-form caps described in the module
     docstring (the small-N form is tight for N <= d + 1, the large-N form
     for N >= d + 1, equal at N = d + 1); ``fuchs_floor`` is 2/(d + 1).
-    ``search_status`` records that the reported fidelity is a certified
-    lower bound on the true supremum, not a proof of optimality.
+    ``fidelity_upper`` is the spectral cap on the true supremum and
+    ``optimality_gap`` is fidelity_upper - optimal_fidelity.
+    ``search_status`` is ``certified-within-gap`` when that gap is at most
+    GAP_TOL (1e-12), so the reported fidelity is optimal to within it, and
+    ``best-found-lower-bound`` otherwise: the fidelity is then a certified
+    lower bound on the supremum, not a proof of optimality.
     """
 
     incompatibility: float
@@ -197,11 +216,13 @@ class IncompatibilityReport:
     q_upper_small_n: float
     q_upper_large_n: float
     fuchs_floor: float
+    fidelity_upper: float
+    optimality_gap: float
     iterations_used: int
     restart_trace: tuple[float, ...]
     start_sweeps: tuple[int, ...]
     minimal_subset_labels: tuple[str, ...]
-    search_status: str = "best-found-lower-bound"
+    search_status: str
 
 
 def q_upper_bounds(n_observables: int, dim: int) -> tuple[float, float]:
@@ -226,6 +247,26 @@ def fuchs_lower_bound(dim: int) -> float:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return 2.0 / (dim + 1.0)
+
+
+def spectral_cap(ens: SignalEnsemble) -> float:
+    """Upper bound lambda_max(sum_k P_k (x) P_k)/N on the fidelity of every strategy.
+
+    Every strategy is matched or beaten by one with rank-1 elements
+    m_a chi_a chi_a^dagger and pure resend states eta_a, for which
+    F = (1/Nd) sum_a m_a sum_k |<v_k|chi_a>|^2 |<v_k|eta_a>|^2, and each
+    inner sum is the expectation of sum_k P_k (x) P_k in chi_a (x) eta_a;
+    since sum_a m_a = d, F <= lambda_max/N. The bound is exact on complete
+    sets of unbiased bases, where it is 2/(d + 1), and loose elsewhere. One
+    eigvalsh of the d^2 x d^2 matrix D^T D^*, where the rows of D are the
+    signal kets v_k (x) v_k, gives lambda_max; it is padded by
+    SPECTRAL_CAP_SLACK * d^2 of itself for rounding, so the cap stays a
+    valid bound.
+    """
+    dim = ens.dim
+    doubled = (ens.kets[:, :, None] * ens.kets[:, None, :]).reshape(ens.n_states, dim * dim)
+    top = float(np.linalg.eigvalsh(doubled.T @ doubled.conj())[-1])
+    return top * (1.0 + SPECTRAL_CAP_SLACK * dim * dim) / ens.n_bases
 
 
 def _pinv_sqrt(matrices: np.ndarray, where: Callable[[int], str] | None = None) -> np.ndarray:
@@ -338,6 +379,7 @@ def _see_saw_batch(
     weights: np.ndarray,
     directions: np.ndarray,
     config: OptimizerConfig,
+    upper: float = math.inf,
 ) -> _Runs:
     """Run the see-saw of :func:`see_saw` from B starts at once, in lock step.
 
@@ -358,6 +400,10 @@ def _see_saw_batch(
     rows only; a dead row keeps its last, finite, resend direction. From
     sweep 2 on, each live row's resend direction at the accepted point is
     the warm-start guess of its top eigenpair.
+
+    ``upper`` is a cap on the fidelity of every strategy. The whole batch
+    stops after the first sweep whose best value is within GAP_TOL of it:
+    nothing is left to find. Every start has then run at least one sweep.
     """
     n_starts, dim = weights.shape[0], ens.dim
     ids = np.arange(n_starts)
@@ -422,7 +468,7 @@ def _see_saw_batch(
             kept_eta = np.where(mask[:, None, None], eta, kept_eta)
             kept_value = np.where(mask, value, kept_value)
         history.append((ids, kept_value))
-        if sweep == config.max_iters:
+        if sweep == config.max_iters or best_value.max() >= upper - GAP_TOL:
             sweeps[ids] = sweep
             break
         if any(done):
@@ -478,14 +524,18 @@ def _search(
     weights: np.ndarray,
     directions: np.ndarray,
     config: OptimizerConfig,
+    upper: float = math.inf,
 ) -> FidelitySearch:
-    """Run :func:`_see_saw_batch` from the given starts and report the best one.
+    """Run :func:`_see_saw_batch` from the given starts, stopping at ``upper``, and report the best one.
 
-    Ties resolve to the earliest start. The reported strategy is that
-    start's best sweep with its weight-0 outcomes dropped and phases fixed.
+    The reported start is the earliest whose fidelity is within TIE_TOL of
+    the best: values that close are a tie, and float noise must not pick a
+    later start. The reported strategy is that start's best sweep with its
+    weight-0 outcomes dropped and phases fixed.
     """
-    runs = _see_saw_batch(ens, weights, directions, config)
-    best = int(np.argmax(runs.fidelity))
+    runs = _see_saw_batch(ens, weights, directions, config, upper)
+    # the difference itself, not fidelity >= max - tol: it is exact for close values
+    best = int(np.flatnonzero(runs.fidelity.max() - runs.fidelity <= TIE_TOL)[0])
     kept = runs.weights[best] > 0.0
     eta = linalg.fix_phases(runs.eta[best][kept])
     return FidelitySearch(
@@ -497,6 +547,7 @@ def _search(
         start_sweeps=tuple(int(n) for n in runs.sweeps),
         best_start=best,
         traces=tuple(runs.traces),
+        fidelity_upper=upper,
     )
 
 
@@ -540,7 +591,8 @@ def see_saw(
     monotone ascent and any violation signals a numerical bug. The returned
     measurement, reconstruction, and fidelity come from the best evaluated
     sweep and are mutually consistent. This is the search of
-    :func:`optimal_fidelity` run on a batch of one start.
+    :func:`optimal_fidelity` run on a batch of one start, without a cap:
+    ``fidelity_upper`` is inf.
     """
     if ens.dim != initial.dim:
         raise DimensionMismatchError(f"ensemble dim {ens.dim} vs POVM dim {initial.dim}")
@@ -554,8 +606,10 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     guarantees the (N + d - 1)/(N d) floor, then from ``config.restarts``
     random POVMs with ``config.n_outcomes(d)`` outcomes. All starts run in
     one lock-step batch; the projective ones are padded to that outcome
-    count with weight-0 outcomes. The maximum is a lower bound on the true
-    supremum; ties resolve to the earliest start.
+    count with weight-0 outcomes. The batch stops once its best start is
+    within GAP_TOL of :func:`spectral_cap`, which the result carries as
+    ``fidelity_upper``. The reported value is a lower bound on the true
+    supremum; ties within TIE_TOL resolve to the earliest start.
     """
     config = config or OptimizerConfig()
     dim, n_bases = ens.dim, ens.n_bases
@@ -570,7 +624,7 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     rngs = [np.random.default_rng((config.seed, restart)) for restart in range(config.restarts)]
     weights[n_bases:], directions[n_bases:] = random_povm(dim, n_outcomes, rngs)
 
-    return _search(ens, weights, directions, config)
+    return _search(ens, weights, directions, config, spectral_cap(ens))
 
 
 def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -> IncompatibilityReport:
@@ -578,9 +632,9 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
 
     Reduces the set to a minimal noncommuting subset, builds its signal
     ensemble, maximizes the intercept-resend fidelity, and checks the
-    result against every applicable closed-form bound. A bound violation
-    means a numerical bug and raises BoundViolationError rather than being
-    reported as data.
+    result against every applicable closed-form bound and the spectral cap.
+    A bound violation means a numerical bug and raises BoundViolationError
+    rather than being reported as data.
     """
     config = config or OptimizerConfig()
     subset = minimal_noncommuting_subset(obs)
@@ -606,6 +660,10 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
         raise BoundViolationError(f"incompatibility {q!r} above cap {q_small!r} {context}")
     if q > q_large + BOUND_SLACK:
         raise BoundViolationError(f"incompatibility {q!r} above cap {q_large!r} {context}")
+    upper = search.fidelity_upper
+    if search.fidelity > upper + BOUND_SLACK:
+        raise BoundViolationError(f"fidelity {search.fidelity!r} above spectral cap {upper!r} {context}")
+    gap = upper - search.fidelity
 
     return IncompatibilityReport(
         incompatibility=q,
@@ -618,8 +676,11 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
         q_upper_small_n=q_small,
         q_upper_large_n=q_large,
         fuchs_floor=fuchs,
+        fidelity_upper=upper,
+        optimality_gap=gap,
         iterations_used=search.iterations,
         restart_trace=search.restart_trace,
         start_sweeps=search.start_sweeps,
         minimal_subset_labels=subset.labels,
+        search_status="certified-within-gap" if gap <= GAP_TOL else "best-found-lower-bound",
     )

@@ -39,6 +39,11 @@ WEIGHT_PRUNE_EPS = 1e-12  # POVM weight below which the measurement update drops
 MONOTONE_TOL = 1e-12  # fall of the fidelity between sweeps that raises NonMonotoneError: absolute
 PINV_CUTOFF = 1e-12  # update-operator eigenvalues <= cutoff * lambda_max are off its support: relative
 BOUND_SLACK = 1e-9  # slack of the closed-form certificates on fidelity and incompatibility: absolute
+# eigvalsh is backward stable: its lambda_max of the d^2 x d^2 matrix sum_k P_k (x) P_k is off by
+# a small multiple of n * eps * lambda_max, n = d^2; the cap adds this many units of d^2 * lambda_max
+SPECTRAL_CAP_SLACK = 1e-14  # rounding pad of the spectral cap on F, per unit of d^2: relative to lambda_max
+GAP_TOL = 1e-12  # cap minus best F at which a search stops and is certified-within-gap: absolute
+TIE_TOL = 1e-12  # fall below the best start's F within which an earlier start is reported: absolute
 
 # Entropic bound and its failure demonstration (entropic)
 PROB_FLOOR = 1e-15  # outcome probabilities at or below it add nothing to an entropy: absolute

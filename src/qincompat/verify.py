@@ -30,6 +30,7 @@ from .observables import (
     signal_ensemble,
 )
 from .optimizer import OptimizerConfig, incompatibility
+from .tolerances import BOUND_SLACK
 
 
 @dataclass(frozen=True)
@@ -151,20 +152,31 @@ def map_contract_suite(samples: int = 100, seed: int = 0) -> SuiteResult:
 
 
 def bound_certificate_suite(samples: int = 8, seed: int = 0) -> SuiteResult:
-    """Run the full measure on random sets; every certificate must hold.
+    """Run the full measure on random sets and one complete unbiased set; every certificate must hold.
 
     Certificates are enforced inside :func:`incompatibility` itself, so a
-    failure here means a BoundViolationError escaped on some input.
+    BoundViolationError escaping on some input counts as a failure, and so
+    does a fidelity above the report's spectral cap ``fidelity_upper``. The
+    complete set of d + 1 unbiased bases (d drawn from 2, 3 and 5, under a
+    random global unitary) must also come back ``certified-within-gap``,
+    since the cap is exact there.
     """
     rng = np.random.default_rng((seed, 404))
     config = OptimizerConfig(restarts=4, seed=seed)
-    checks = 0
-    failures = 0
-    detail = ""
+    sets = []
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
         count = int(rng.integers(2, 4))
-        obs = random_observable_set(dim, count, rng)
+        sets.append((random_observable_set(dim, count, rng), False))
+    dim = int(rng.choice([2, 3, 5]))
+    turn = random_eigenbasis(dim, rng).vectors
+    complete = tuple(Eigenbasis(b.vectors @ turn, label=b.label) for b in mub_bases(dim, dim + 1).members)
+    sets.append((ObservableSet(complete), True))
+
+    checks = 0
+    failures = 0
+    detail = ""
+    for obs, certified in sets:
         checks += 1
         try:
             report = incompatibility(obs, config)
@@ -172,9 +184,15 @@ def bound_certificate_suite(samples: int = 8, seed: int = 0) -> SuiteResult:
             failures += 1
             detail = str(exc)
             continue
-        if not 0.0 <= report.incompatibility <= report.q_upper_large_n + 1e-9:
+        if not 0.0 <= report.incompatibility <= report.q_upper_large_n + BOUND_SLACK:
             failures += 1
             detail = f"incompatibility {report.incompatibility!r} out of range"
+        elif report.optimal_fidelity > report.fidelity_upper + BOUND_SLACK:
+            failures += 1
+            detail = f"fidelity {report.optimal_fidelity!r} above spectral cap {report.fidelity_upper!r}"
+        elif certified and report.search_status != "certified-within-gap":
+            failures += 1
+            detail = f"complete unbiased set in d={dim} left at {report.search_status}"
     return SuiteResult("bound-certificates", checks, failures, detail)
 
 

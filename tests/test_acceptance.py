@@ -153,7 +153,8 @@ def test_bound_certificates_on_random_sets():
         if n <= d + 1:
             assert report.incompatibility <= report.q_upper_small_n + 1e-9
         assert report.incompatibility <= report.q_upper_large_n + 1e-9
-    print("PASS: 50 random observable sets satisfy every closed-form certificate")
+        assert report.optimal_fidelity <= report.fidelity_upper + 1e-9
+    print("PASS: 50 random observable sets satisfy every closed-form certificate and the spectral cap")
 
 
 def test_achievable_fidelity_route_consistency():

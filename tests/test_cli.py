@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qincompat import documents
+from qincompat import documents, optimizer, verify
 from qincompat.cli import main
 from qincompat.documents import basis_document, to_pairs
 from qincompat.entropic import shared_eigenvector_pair
@@ -412,6 +412,28 @@ class TestVerifyCommand:
         assert doc["all_passed"] is True
         assert len(doc["suites"]) == 4
 
+    def test_bound_certificates_sample_a_certified_complete_set(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "bound-certificates", "--samples", "2")
+        assert code == 0
+        [suite] = json.loads(out)["suites"]
+        assert (suite["checks"], suite["failures"]) == (3, 0)
+
+    def test_bound_certificates_count_an_uncertified_complete_set(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "GAP_TOL", -1.0)  # no search can be certified
+        result = verify.bound_certificate_suite(samples=2)
+        assert (result.checks, result.failures) == (3, 1)
+        assert result.detail.startswith("complete unbiased set in d=")
+
+    @pytest.mark.parametrize("raised", [True, False])
+    def test_bound_certificates_count_a_fidelity_above_the_cap(self, monkeypatch, raised):
+        monkeypatch.setattr(optimizer, "spectral_cap", lambda ens: 0.25)
+        if not raised:  # the suite's own check, should incompatibility() let the report through
+            monkeypatch.setattr(optimizer, "BOUND_SLACK", 1.0)
+        result = verify.bound_certificate_suite(samples=2)
+        assert (result.checks, result.failures) == (3, 3)
+        assert "above spectral cap 0.25" in result.detail
+        assert ("(seed 0, start" in result.detail) == raised
+
     def test_seed_is_echoed(self, capsys):
         _, out, _ = run(capsys, "verify", "--suite", "map-contracts", "--samples", "5", "--seed", "9")
         assert json.loads(out)["seed"] == 9
@@ -464,9 +486,9 @@ class TestReportBytes:
             (3, 2, 0, 3),  # a projective start is best: d outcomes
             (5, 2, 0, 5),
             (7, 2, 0, 7),
-            (3, 4, 2, 9),  # a random start is best: d^2 outcomes
-            (5, 6, 0, 25),
-            (7, 8, 0, 49),
+            (3, 4, 2, 3),  # complete sets meet the spectral cap at sweep 1: the first projective start
+            (5, 6, 0, 5),
+            (7, 8, 0, 7),
         ],
     )
     def test_measure_on_unbiased_sets(self, tmp_path, capsys, emitted, dim, n_bases, seed, outcomes):
@@ -478,6 +500,23 @@ class TestReportBytes:
         assert code == 0
         [doc] = emitted
         assert len(doc["best_povm"]["weights"]) == outcomes
+        complete = n_bases == dim + 1
+        assert doc["search_status"] == ("certified-within-gap" if complete else "best-found-lower-bound")
+        assert target.read_bytes() == self.json_text(doc).encode("ascii")
+
+    def test_measure_where_a_random_start_wins(self, tmp_path, capsys, emitted):
+        # a random start beats both projective ones by far more than TIE_TOL: d^2 outcomes
+        rng = np.random.default_rng(1)
+        obs = ObservableSet(tuple(random_basis(3, rng, f"r{i}") for i in range(2)))
+        target = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "measure", write_set(tmp_path, "r3.json", obs), "--restarts", "2", "--out", str(target)
+        )
+        assert code == 0
+        [doc] = emitted
+        trace = doc["restart_trace"]
+        assert max(trace[2:]) - max(trace[:2]) > 1e-6
+        assert len(doc["best_povm"]["weights"]) == 9
         assert target.read_bytes() == self.json_text(doc).encode("ascii")
 
     def test_measure_on_random_set(self, tmp_path, capsys, emitted, rng):

@@ -24,11 +24,12 @@ from qincompat.optimizer import (
     q_upper_bounds,
     see_saw,
 )
-from qincompat.tolerances import WEIGHT_PRUNE_EPS
+from qincompat.tolerances import TIE_TOL, WEIGHT_PRUNE_EPS
 from conftest import (
     one_random_povm,
     projective_povm,
     qubit_fidelity_optimum,
+    random_basis,
     random_ensemble,
     rotated_qubit_basis,
 )
@@ -196,6 +197,16 @@ class TestOptimizerConfig:
     def test_rejects_non_integer_counts(self, field):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer >= [01], got 2\.5$"):
             OptimizerConfig(**{field: 2.5})
+
+    @pytest.mark.parametrize("field", ["restarts", "outcomes", "max_iters", "seed"])
+    def test_rejects_bool_counts(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= [01], got True$"):
+            OptimizerConfig(**{field: True})
+
+    @pytest.mark.parametrize("value", ["1e-9", None, True])
+    def test_rejects_non_number_convergence_eps(self, value):
+        with pytest.raises(ValueError, match=rf"^convergence_eps must be positive and finite, got {value!r}$"):
+            OptimizerConfig(convergence_eps=value)
 
     def test_accepts_numpy_integers(self):
         config = OptimizerConfig(restarts=np.int64(2), outcomes=np.int32(4), max_iters=np.uint16(10), seed=np.int8(3))
@@ -477,6 +488,9 @@ class TestIncompatibility:
         assert report.q_upper_large_n == pytest.approx(0.5)
         assert report.fuchs_floor == pytest.approx(0.5)
         assert report.optimal_fidelity >= report.fidelity_floor - 1e-9
+        # the spectral cap is loose on a pair of unbiased qutrit bases: 0.789 against 2/3
+        assert report.fidelity_upper == pytest.approx(0.7886751345948129, abs=1e-9)
+        assert report.optimality_gap == report.fidelity_upper - report.optimal_fidelity
         assert report.search_status == "best-found-lower-bound"
 
     def test_deterministic_for_fixed_seed(self):
@@ -488,6 +502,64 @@ class TestIncompatibility:
         assert np.array_equal(a.best_povm.weights, b.best_povm.weights)
         assert np.array_equal(a.best_povm.directions, b.best_povm.directions)
         assert np.array_equal(a.best_reconstruction.states, b.best_reconstruction.states)
+
+
+class TestSpectralCap:
+    """The cap lambda_max(sum_k P_k (x) P_k)/N: a bound on every set, the stop on the sets it certifies."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_complete_unbiased_sets_are_certified_at_sweep_one(self, dim):
+        report = incompatibility(mub_bases(dim, dim + 1), FAST)
+        assert report.start_sweeps == (1,) * (dim + 1 + FAST.restarts)
+        assert report.search_status == "certified-within-gap"
+        assert report.best_povm.n_outcomes == dim
+        assert abs(report.incompatibility - (dim - 1.0) / (dim + 1.0)) <= 1e-12
+        assert 0.0 <= report.optimality_gap <= 1e-12
+        assert report.fidelity_upper == report.optimal_fidelity + report.optimality_gap
+
+    @pytest.mark.parametrize(
+        "dim, seed, sweeps",
+        [(3, 21, (216, 215, 184, 180, 171, 133)), (4, 22, (37, 37, 78, 73, 77, 81))],
+    )
+    def test_random_sets_keep_their_search(self, dim, seed, sweeps):
+        # the cap is loose here, so no start stops early
+        rng = np.random.default_rng(seed)
+        report = incompatibility(ObservableSet(tuple(random_basis(dim, rng, f"r{i}") for i in range(2))), FAST)
+        assert report.start_sweeps == sweeps
+        assert report.search_status == "best-found-lower-bound"
+        assert report.optimal_fidelity <= report.fidelity_upper
+        assert report.optimality_gap > 1e-3
+
+    def test_cap_is_exact_on_complete_unbiased_sets(self):
+        # on complete sets the cap is the exact 2/(d + 1) plus its rounding pad, within the 1e-12 gap
+        for dim in (2, 3, 5, 7):
+            cap = optimizer.spectral_cap(signal_ensemble(mub_bases(dim, dim + 1)))
+            assert 0.0 < cap - 2.0 / (dim + 1.0) <= 1e-12
+
+    def test_search_without_a_cap_has_an_infinite_one(self):
+        ens = signal_ensemble(mub_bases(2, 3))
+        assert see_saw(ens, projective_povm(mub_bases(2, 3).members[0])).fidelity_upper == np.inf
+
+    @pytest.mark.parametrize("lead, reported", [(0.5, 0), (2.0, 3 + FAST.restarts)])
+    def test_later_start_is_reported_only_beyond_tie_tol(self, monkeypatch, lead, reported):
+        # the last start is made to beat all others by lead * TIE_TOL
+        run_batch = optimizer._see_saw_batch
+
+        def last_start_ahead(*args):
+            runs = run_batch(*args)
+            runs.fidelity[-1] = runs.fidelity.max() + lead * TIE_TOL
+            return runs
+
+        monkeypatch.setattr(optimizer, "_see_saw_batch", last_start_ahead)
+        search = optimal_fidelity(signal_ensemble(mub_bases(3, 4)), FAST)
+        assert search.best_start == reported
+        assert 0.0 <= max(search.restart_trace) - search.fidelity <= TIE_TOL
+
+    def test_fidelity_above_the_cap_raises(self, monkeypatch):
+        config = OptimizerConfig(restarts=2, seed=5)
+        monkeypatch.setattr(optimizer, "spectral_cap", lambda ens: 0.5)
+        with pytest.raises(BoundViolationError, match=r"above spectral cap 0\.5 \(seed 5, start 0\)$"):
+            incompatibility(mub_bases(3, 2), config)
 
 
 class TestBoundViolationContext:
