@@ -151,18 +151,18 @@ def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tu
     Hermitian. The vectors keep the solver's phases, which are deterministic
     for fixed input bits: callers that expose a vector apply fix_phases.
 
-    With a ``guess`` (..., d) of unit vectors and d >= WARM_MIN_DIM, the
-    matrices first take Rayleigh-quotient steps from their guesses, at most
-    two (see :func:`_warm_top_eig`). A value from a step is the Rayleigh
-    quotient of the returned vector and lies within WARM_CERTIFICATE_SHIFT *
-    tr of the top eigenvalue; matrices whose steps fail their checks get
-    eigh's.
+    With a ``guess`` (..., d) of unit vectors, each matrix A first checks its
+    guess g with one matrix-vector product, and a guess that passes is
+    returned as (g^dagger A g, g) with no solver run; at d >= WARM_MIN_DIM a
+    guess that misses the residual takes Rayleigh-quotient steps (see
+    :func:`_warm_top_eig`). The other matrices go through one eigh of their
+    stack. A value from a guess or a step is the Rayleigh quotient of the
+    returned vector and lies within WARM_CERTIFICATE_SHIFT * tr A of the top
+    eigenvalue.
     """
-    if guess is not None and matrices.shape[-1] >= WARM_MIN_DIM:
-        warm = _warm_top_eig(matrices, guess)
-        if warm is not None:
-            return warm
-    return _eigh_top(matrices)
+    if guess is None:
+        return _eigh_top(matrices)
+    return _warm_top_eig(matrices, guess)
 
 
 def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,66 +170,138 @@ def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[..., -1], vecs[..., :, -1]
 
 
-def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rayleigh-quotient steps per matrix from ``guess``, certified, with eigh for failing rows.
+def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpairs from checked guesses and at most two Rayleigh-quotient steps, with eigh for the rest.
 
-    sigma = g^dagger A g, y = (A - sigma I)^(-1) g normalized, rho = y^dagger A y.
-    A matrix keeps (rho, y) when ||A y - rho y|| <= WARM_RESIDUAL_TOL * tr A
-    and (rho + WARM_CERTIFICATE_SHIFT * tr A) I - A is positive definite,
-    which its Cholesky factor proves: then rho <= lambda_max < rho + shift *
-    tr A. Returns None, so that the whole stack goes through eigh, when the
-    Cholesky check of the first step fails (a guess near a lower eigenvector
-    converges there) or its solve finds a singular matrix (a guess that is an
-    exact eigenvector). Matrices that fail the first step's residual take a
-    second step from y, checked the same way on its own; those that fail it
-    go through eigh.
+    A matrix A keeps the guess g, with rho = g^dagger A g, when the residual
+    ||A g - rho g|| is at most WARM_RESIDUAL_TOL * tr A and :func:`_certified`
+    proves lambda_max < rho + WARM_CERTIFICATE_SHIFT * tr A. At
+    d >= WARM_MIN_DIM a matrix whose guess misses the residual takes a step
+    from g at rho (see :func:`_rayleigh_step`), checked the same way, and one
+    whose step misses again takes a second step from the first one's vector.
+    A matrix whose certificate is refused, whose shifted solve is singular or
+    whose residual misses after its last step goes through eigh, alone: the
+    other matrices keep what their checks accepted.
     """
+    shape, dim = guess.shape, guess.shape[-1]
+    matrices, guess = matrices.reshape(-1, dim, dim), guess.reshape(-1, dim)
+    trace = np.einsum("kii->k", matrices).real
+    rho, pending, served = _checked(matrices, guess, trace)
+    vec = guess.copy()
+    for _ in range(2 if dim >= WARM_MIN_DIM else 0):
+        if not pending.any():
+            break
+        at = _rows(pending)
+        y, solved = _rayleigh_step(matrices[at], vec[at], rho[at])
+        rho[at], missed, served[at] = _checked(matrices[at], y, trace[at])
+        vec[at] = y
+        pending[at] = solved & missed
+    if not served.all():
+        rest = ~served
+        rho[rest], vec[rest] = _eigh_top(matrices[rest])
+    return rho.reshape(shape[:-1]), vec.reshape(shape)
+
+
+def _rows(mask: np.ndarray) -> np.ndarray | slice:
+    """``mask`` as an index; a slice, which copies nothing, when it takes every row."""
+    return slice(None) if mask.all() else mask
+
+
+def _rayleigh_step(matrices: np.ndarray, guess: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Rayleigh-quotient step per matrix of a (n, d, d) stack: (y, solved).
+
+    y = (A - sigma I)^(-1) g, normalized. A matrix whose shifted solve is
+    singular gets a NaN row and ``solved`` False; the other rows keep the
+    bits of the batched solve.
+    """
+    shifted = matrices - sigma[:, None, None] * np.eye(matrices.shape[-1])
     try:
-        rho, y, ok = _rayleigh_step(matrices, guess)
+        y = np.linalg.solve(shifted, guess[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    if not _certified(matrices[ok], rho[ok]):
-        return None
-    if not ok.all():
-        rest = ~ok
-        stack, again = matrices[rest], np.zeros(np.count_nonzero(rest), dtype=bool)
-        try:
-            rho_2, y_2, again = _rayleigh_step(stack, y[rest])
-        except np.linalg.LinAlgError:
-            rho_2, y_2 = rho[rest], y[rest]
-        if again.any() and not _certified(stack[again], rho_2[again]):
-            again[:] = False
-        if not again.all():
-            rho_2[~again], y_2[~again] = _eigh_top(stack[~again])
-        rho[rest], y[rest] = rho_2, y_2
-    return rho, y
-
-
-def _rayleigh_step(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Rayleigh-quotient step from each guess: (rho, y, passes the residual check).
-
-    Raises LinAlgError when a shifted matrix is singular.
-    """
-    sigma = (guess.conj()[..., None, :] @ matrices @ guess[..., None])[..., 0, 0].real
-    shifted = matrices - sigma[..., None, None] * np.eye(matrices.shape[-1])
-    y = np.linalg.solve(shifted, guess[..., None])[..., 0]
+        y = np.full(guess.shape, np.nan, dtype=complex)
+        for k, (a, g) in enumerate(zip(shifted, guess)):
+            try:
+                y[k] = np.linalg.solve(a, g)
+            except np.linalg.LinAlgError:
+                pass
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         y = y / np.linalg.norm(y, axis=-1, keepdims=True)
-        image = (matrices @ y[..., None])[..., 0]
-        rho = np.sum(y.conj() * image, axis=-1).real
-        residual = np.linalg.norm(image - rho[..., None] * y, axis=-1)
-    trace = np.trace(matrices, axis1=-2, axis2=-1).real
-    return rho, y, residual <= WARM_RESIDUAL_TOL * trace
+    return y, np.isfinite(y).all(axis=-1)
 
 
-def _certified(matrices: np.ndarray, rho: np.ndarray) -> bool:
-    """True when (rho + WARM_CERTIFICATE_SHIFT * tr A) I - A has a Cholesky factor for every matrix A."""
-    bound = rho + WARM_CERTIFICATE_SHIFT * np.trace(matrices, axis1=-2, axis2=-1).real
+def _checked(matrices: np.ndarray, vectors: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, missed, served) of unit ``vectors`` as top eigenvectors of a (n, d, d) stack, one matvec each.
+
+    rho = v^dagger A v; ``missed`` marks the rows whose residual
+    ||A v - rho v|| exceeds WARM_RESIDUAL_TOL * tr A (or is not finite), and
+    ``served`` the others that :func:`_certified` accepts.
+    """
+    image = (matrices @ vectors[..., None])[..., 0]
+    rho = np.sum(vectors.conj() * image, axis=-1).real
+    residual_sq = np.square((image - rho[:, None] * vectors).view(float)).sum(axis=-1)
+    missed = ~(residual_sq <= (WARM_RESIDUAL_TOL * trace) ** 2)
+    served = ~missed
+    if served.any():
+        at = _rows(served)
+        served[at] = _certified(matrices[at], rho[at], residual_sq[at], trace[at])
+    return rho, missed, served
+
+
+def _certified(matrices: np.ndarray, rho: np.ndarray, residual_sq: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Per matrix of a (n, d, d) PSD stack: is lambda_max(A) < rho + WARM_CERTIFICATE_SHIFT * tr A proved?
+
+    ``rho`` is the quotient v^dagger A v of a unit vector v and
+    ``residual_sq`` is eps^2 = ||A v - rho v||^2. Kato-Temple (Kato, J.
+    Phys. Soc. Jpn. 4, 334, 1949): if every eigenvalue but lambda_max is at
+    most nu < rho, then lambda_max <= rho + eps^2 / (rho - nu). Weyl's
+    interlacing gives lambda_2(A) <= lambda_max(B) for B = A - rho v v^dagger,
+    and the Wolkowicz-Styan bound (Linear Algebra Appl. 29, 471, 1980) gives
+    lambda_max(B) <= nu = m + s sqrt(d - 1) from tr B = tr A - rho and
+    ||B||_F^2 = ||A||_F^2 - rho^2, with m = tr B / d and
+    s^2 = ||B||_F^2 / d - m^2. A matrix is certified when rho > nu and
+    eps^2 <= shift * tr A * (rho - nu).
+
+    Rounding pad: with delta = 4 (d + 2) eps_mach tr A, rho, m and eps are
+    each taken as off by up to delta, and s^2 by up to delta * tr A (the
+    rounding error of these sums of d or d^2 terms bounded by tr A, as
+    |a_ij| <= sqrt(a_ii a_jj) for PSD A). The test is
+    2 (eps^2 + delta^2) < (shift * tr A - delta) * (rho - nu - 2 delta), with
+    s taken as sqrt(s^2 + delta * tr A); 2 (eps^2 + delta^2) bounds
+    (eps + delta)^2.
+
+    A matrix this bound cannot separate is certified when
+    (rho + shift * tr A) I - A has a Cholesky factor.
+    """
+    dim = matrices.shape[-1]
+    delta = 4 * (dim + 2) * np.finfo(float).eps * trace
+    frobenius_sq = np.einsum("kij,kij->k", matrices.conj(), matrices).real
+    mean = (trace - rho) / dim
+    spread = np.sqrt(np.maximum((frobenius_sq - rho * rho) / dim - mean * mean, 0.0) + delta * trace)
+    gap = rho - mean - spread * np.sqrt(dim - 1) - 2 * delta
+    shift = WARM_CERTIFICATE_SHIFT * trace
+    certified = (gap > 0) & (2 * (residual_sq + delta * delta) < (shift - delta) * gap)
+    if not certified.all():
+        rest = ~certified
+        certified[rest] = _cholesky_certified(matrices[rest], rho[rest] + shift[rest])
+    return certified
+
+
+def _cholesky_certified(matrices: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per matrix of a (n, d, d) stack: does bound * I - A have a Cholesky factor?"""
+    shifted = bound[:, None, None] * np.eye(matrices.shape[-1]) - matrices
     try:
-        np.linalg.cholesky(bound[:, None, None] * np.eye(matrices.shape[-1]) - matrices)
+        np.linalg.cholesky(shifted)
+        return np.ones(len(shifted), dtype=bool)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        pass
+    factored = np.zeros(len(shifted), dtype=bool)
+    for k, a in enumerate(shifted):
+        try:
+            np.linalg.cholesky(a)
+            factored[k] = True
+        except np.linalg.LinAlgError:
+            pass
+    return factored
 
 
 def projector(vector: np.ndarray) -> np.ndarray:

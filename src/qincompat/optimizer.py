@@ -79,9 +79,7 @@ from .tolerances import (
 )
 
 # Below this dimension an eigensolve of a weight-0 outcome costs less than
-# gathering the live outcomes around it. It must not exceed
-# linalg.WARM_MIN_DIM: a weight-0 outcome's guess can be an exact
-# eigenvector, which makes the warm step's shifted matrix singular.
+# gathering the live outcomes around it.
 GATHER_MIN_DIM = 3
 
 # Adaptive over-relaxation of the measurement step (see see_saw). Each
@@ -397,9 +395,12 @@ def _see_saw_batch(
     :func:`see_saw` for the rule).
 
     Top eigenpairs and resend maps are computed for the live (weight > 0)
-    rows only; a dead row keeps its last, finite, resend direction. From
-    sweep 2 on, each live row's resend direction at the accepted point is
-    the warm-start guess of its top eigenpair.
+    rows only; a dead row keeps its last, finite, resend direction. At
+    sweep 1 each row's own measurement direction is the guess of its top
+    eigenpair, which is exact on a 2-design such as a complete set of
+    unbiased bases, where Phi(chi) = (chi chi^dagger + I)/(N d). From sweep
+    2 on, at d >= linalg.WARM_MIN_DIM, each live row's resend direction at
+    the accepted point is the guess.
 
     ``upper`` is a cap on the fidelity of every strategy. The whole batch
     stops after the first sweep whose best value is within GAP_TOL of it:
@@ -424,7 +425,10 @@ def _see_saw_batch(
 
     for sweep in range(1, config.max_iters + 1):
         live = weights > 0.0
-        guess = None if kept_value is None else kept_eta
+        if kept_value is None:
+            guess = directions
+        else:
+            guess = kept_eta if dim >= linalg.WARM_MIN_DIM else None
         if dim >= GATHER_MIN_DIM and not live.all():
             phi = _phi_batch(ens, _signal_overlaps(ens, directions[live]))
             lam, eta = np.zeros(weights.shape), kept_eta.copy()

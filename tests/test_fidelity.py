@@ -6,6 +6,8 @@ from qincompat.errors import DimensionMismatchError, OutcomeCountMismatchError
 from qincompat.fidelity import (
     Povm,
     ReconstructionMap,
+    _phi_batch,
+    _signal_overlaps,
     achievable_fidelity,
     achievable_fidelity_overlap_form,
     average_fidelity,
@@ -140,6 +142,17 @@ class TestEnsembleMap:
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError):
             ensemble_map(ZX_ENSEMBLE, np.eye(2, dtype=complex))
+
+
+class TestTwoDesign:
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_phi_on_a_complete_unbiased_set(self, dim, rng):
+        # a complete set of unbiased bases is a 2-design: Phi(chi) = (chi chi^dagger + I)/(N d) for every unit chi
+        ens = signal_ensemble(mub_bases(dim, dim + 1))
+        chi = linalg.random_unit_vectors(50, dim, rng)
+        expected = (chi[:, :, None] * chi.conj()[:, None, :] + np.eye(dim)) / ((dim + 1) * dim)
+        np.testing.assert_allclose(_phi_batch(ens, _signal_overlaps(ens, chi)), expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ensemble_map(ens, np.outer(chi[0], chi[0].conj())), expected[0], rtol=0, atol=1e-15)
 
 
 class TestOptimalReconstruction:

@@ -4,7 +4,8 @@ import pytest
 from qincompat import linalg
 from qincompat.errors import ConvergenceError, DimensionMismatchError, NotHermitianError
 from qincompat.linalg import herm_eigs, projector, random_unit_vector
-from conftest import random_hermitian
+from qincompat.fidelity import _phi_batch, _signal_overlaps
+from conftest import random_ensemble, random_hermitian
 
 
 def herm_eig(matrix):
@@ -221,9 +222,13 @@ class TestWarmTopEig:
         matrices = random_psd_stack(50, self.DIM, rng)
         vals, vecs = np.linalg.eigh(matrices)
         guess = near(vecs[:, :, -1], 1e-2, rng)
-        # one step from these guesses misses the residual on every row
-        _, _, passed = linalg._rayleigh_step(matrices, guess)
-        assert not passed.any()
+        trace = np.full(50, 1.0 / self.DIM)
+        # neither the guesses nor one step from them meet the residual on any row
+        sigma, missed, _ = linalg._checked(matrices, guess, trace)
+        assert missed.all()
+        y, solved = linalg._rayleigh_step(matrices, guess, sigma)
+        _, missed, _ = linalg._checked(matrices, y, trace)
+        assert solved.all() and missed.all()
         eigh_rows.clear()
         lam, eta = linalg.batched_top_eig(matrices, guess)
         assert eigh_rows == []
@@ -232,18 +237,24 @@ class TestWarmTopEig:
         quotient = np.einsum("ai,aij,aj->a", eta.conj(), matrices, eta).real
         np.testing.assert_allclose(lam, quotient, rtol=0, atol=1e-16)
 
-    def test_second_eigenvector_guess_is_rejected(self):
+    def test_second_eigenvector_guess_is_rejected(self, eigh_rows):
         rng = np.random.default_rng(11)
         matrices = random_psd_stack(5, self.DIM, rng)
         vals, vecs = np.linalg.eigh(matrices)
         guess = near(vecs[:, :, -1], 1e-5, rng)
         guess[0] = vecs[0, :, -2]
-        # the step converges to the second eigenpair, which the certificate refuses
-        assert linalg._warm_top_eig(matrices[:1], guess[:1]) is None
+        # the guess meets the residual, but the certificate refuses its value: it is not the top one
+        rho, missed, served = linalg._checked(matrices[:1], guess[:1], np.full(1, 1.0 / self.DIM))
+        assert not missed[0] and not served[0]
+        assert abs(rho[0] - vals[0, -2]) < 1e-15
+        eigh_rows.clear()
         lam, eta = linalg.batched_top_eig(matrices, guess)
-        assert abs(lam[0] - vals[0, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM
+        # that row alone goes through eigh and gets its bits; the others keep their steps
+        assert eigh_rows == [1]
+        assert lam[0] == vals[0, -1]
+        np.testing.assert_array_equal(eta[0], vecs[0, :, -1])
+        assert np.all(np.abs(lam - vals[:, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM)
         assert vals[0, -1] - vals[0, -2] > 1e-3
-        assert abs(np.vdot(vecs[0, :, -1], eta[0])) >= 1.0 - 1e-12
 
     def test_exact_eigenvector_guess_does_not_raise(self):
         # an exact eigenvector makes the shifted matrix exactly singular
@@ -257,6 +268,30 @@ class TestWarmTopEig:
         vals, vecs = np.linalg.eigh(matrices)
         lam, _ = linalg.batched_top_eig(matrices, guess=vecs[:, :, -1])
         assert np.all(np.abs(lam - vals[:, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM)
+
+    def test_singular_solve_sends_its_row_alone_to_eigh(self, eigh_rows):
+        rng = np.random.default_rng(16)
+        matrices = random_psd_stack(4, self.DIM, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        guess = near(vecs[:, :, -1], 1e-4, rng)
+        # row 0: the guess's quotient is exactly an eigenvalue, so its shifted matrix is singular
+        guess[0] = np.zeros(self.DIM)
+        guess[0, [0, 2]] = 0.6, 0.8
+        matrices[0] = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        trace = np.trace(matrices, axis1=1, axis2=2).real
+        sigma, missed, _ = linalg._checked(matrices, guess, trace)
+        # the guess has no weight on axis 1, so this entry leaves its quotient as it is
+        matrices[0, 1, 1] = sigma[0]
+        assert missed.all()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(matrices[0] - sigma[0] * np.eye(self.DIM), guess[0])
+        _, solved = linalg._rayleigh_step(matrices, guess, sigma)
+        assert solved.tolist() == [False, True, True, True]
+        eigh_rows.clear()
+        lam, eta = linalg.batched_top_eig(matrices, guess)
+        assert eigh_rows == [1]
+        assert lam[0] == 1.0 and abs(eta[0, 0]) == 1.0
+        assert np.all(np.abs(lam[1:] - vals[1:, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM)
 
     def test_failing_rows_alone_go_through_eigh(self, eigh_rows):
         rng = np.random.default_rng(13)
@@ -274,11 +309,58 @@ class TestWarmTopEig:
         dim = linalg.WARM_MIN_DIM - 1
         matrices = random_psd_stack(10, dim, rng)
         vals, vecs = np.linalg.eigh(matrices)
+        # exact guesses are served by the check: no solver runs
         eigh_rows.clear()
         lam, eta = linalg.batched_top_eig(matrices, guess=vecs[:, :, -1])
-        assert eigh_rows == [10]
-        np.testing.assert_array_equal(lam, vals[:, -1])
+        assert eigh_rows == []
         np.testing.assert_array_equal(eta, vecs[:, :, -1])
+        assert np.all(np.abs(lam - vals[:, -1]) < linalg.WARM_CERTIFICATE_SHIFT / dim)
+        # any other guess gets eigh's bits, with no Rayleigh step below the cut-off
+        guess = vecs[:, :, -1].copy()
+        guess[3:6] = near(vecs[3:6, :, -1], 1e-4, rng)
+        guess[6:8] = vecs[6:8, :, -2]
+        guess[8:] = near(np.zeros((2, dim), dtype=complex), 1.0, rng)
+        eigh_rows.clear()
+        lam, eta = linalg.batched_top_eig(matrices, guess)
+        assert eigh_rows == [7]
+        np.testing.assert_array_equal(lam[3:], vals[3:, -1])
+        np.testing.assert_array_equal(eta[3:], vecs[3:, :, -1])
+        np.testing.assert_array_equal(eta[:3], vecs[:3, :, -1])
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_served_rows_are_within_the_certificate(self, dim, monkeypatch):
+        """Soundness on Phi stacks of random ensembles: every row served without eigh is certified."""
+        rng = np.random.default_rng(100 + dim)
+        ens = random_ensemble(dim, 3, rng)
+        chi = near(np.zeros((400, dim), dtype=complex), 1.0, rng)
+        matrices = _phi_batch(ens, _signal_overlaps(ens, chi))
+        vals, vecs = np.linalg.eigh(matrices)
+        top, second = vecs[:, :, -1], vecs[:, :, -2]
+        scales = np.repeat(10.0 ** np.arange(-8, -1), 20)[:, None]
+        everywhere = np.arange(len(chi))
+        guesses = {
+            "exact": (everywhere, top),
+            "perturbed": (np.arange(len(scales)), near(top[: len(scales)], scales, rng)),
+            "second": (everywhere, second),
+            "random": (everywhere, chi),
+        }
+        # a row that reaches eigh comes back NaN, so the served rows are the finite ones
+        monkeypatch.setattr(
+            linalg, "_eigh_top", lambda m: (np.full(m.shape[:-2], np.nan), np.full(m.shape[:-1], np.nan, dtype=complex))
+        )
+        trace = np.trace(matrices, axis1=1, axis2=2).real
+        for kind, (rows, guess) in guesses.items():
+            lam, eta = linalg.batched_top_eig(matrices[rows], guess)
+            served = np.isfinite(lam)
+            lam_max = np.linalg.eigvalsh(matrices[rows])[:, -1]
+            assert np.all(lam_max[served] - lam[served] < linalg.WARM_CERTIFICATE_SHIFT * trace[rows][served]), kind
+            quotient = np.einsum("ai,aij,aj->a", eta[served].conj(), matrices[rows][served], eta[served]).real
+            np.testing.assert_allclose(lam[served], quotient, rtol=0, atol=1e-15)
+            if kind == "exact":
+                assert served.all()
+            if kind == "second":
+                assert not served.any()
+                assert np.all(vals[:, -1] - vals[:, -2] > 1e-6 * trace)
 
 
 class TestRandomUnitVectors:

@@ -24,7 +24,7 @@ from qincompat.optimizer import (
     q_upper_bounds,
     see_saw,
 )
-from qincompat.tolerances import TIE_TOL, WEIGHT_PRUNE_EPS
+from qincompat.tolerances import GAP_TOL, TIE_TOL, WEIGHT_PRUNE_EPS
 from conftest import (
     one_random_povm,
     projective_povm,
@@ -315,15 +315,26 @@ class TestBatchedKernel:
     def test_every_start_matches_reference_and_runs_alone(self, monkeypatch):
         from qincompat import linalg
 
-        accepted = []
-        warm_top_eig = linalg._warm_top_eig
+        # per call of the warm path at d >= WARM_MIN_DIM: the rows it sent to eigh
+        to_eigh, inside = [], []
+        warm_top_eig, eigh_top = linalg._warm_top_eig, linalg._eigh_top
 
         def counted(matrices, guess):
-            result = warm_top_eig(matrices, guess)
-            accepted.append(result is not None)
-            return result
+            inside.append(matrices.shape[-1] >= linalg.WARM_MIN_DIM)
+            if inside[-1]:
+                to_eigh.append(0)
+            try:
+                return warm_top_eig(matrices, guess)
+            finally:
+                inside.pop()
+
+        def counted_eigh(matrices):
+            if inside and inside[-1]:
+                to_eigh[-1] += len(matrices)
+            return eigh_top(matrices)
 
         monkeypatch.setattr(linalg, "_warm_top_eig", counted)
+        monkeypatch.setattr(linalg, "_eigh_top", counted_eigh)
         for ens in self.ensembles():
             search = optimal_fidelity(ens, self.CONFIG)
             starts = search_starts(ens, self.CONFIG)
@@ -336,7 +347,8 @@ class TestBatchedKernel:
                 assert abs(search.restart_trace[index] - value) <= 1e-12
                 assert abs(alone.fidelity - search.restart_trace[index]) <= 1e-12
                 assert len(alone.traces[0]) == sweeps
-        assert sum(accepted) > 100
+        # every row of most warm calls is served by its guess or its steps
+        assert sum(rows == 0 for rows in to_eigh) > 100
 
     def test_pruned_start_matches_reference(self):
         # a projective start plus one outcome of weight 1e-13, below the
@@ -535,6 +547,31 @@ class TestSpectralCap:
         for dim in (2, 3, 5, 7):
             cap = optimizer.spectral_cap(signal_ensemble(mub_bases(dim, dim + 1)))
             assert 0.0 < cap - 2.0 / (dim + 1.0) <= 1e-12
+
+    def test_complete_set_factorizes_no_phi(self, monkeypatch):
+        # each direction is an exact top eigenvector of its Phi on a 2-design: sweep 1 needs no solver
+        from qincompat import linalg
+
+        calls = {"eigh": 0, "cholesky": 0}
+        eigh_top, cholesky = linalg._eigh_top, np.linalg.cholesky
+
+        def counted_eigh(matrices):
+            calls["eigh"] += 1
+            return eigh_top(matrices)
+
+        def counted_cholesky(a, *args, **kwargs):
+            calls["cholesky"] += 1
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eigh_top", counted_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        ens = signal_ensemble(mub_bases(7, 8))
+        search = optimal_fidelity(ens, FAST)
+        assert calls == {"eigh": 0, "cholesky": 0}
+        assert search.start_sweeps == (1,) * (8 + FAST.restarts)
+        assert 0.0 <= search.fidelity_upper - search.fidelity <= GAP_TOL
+        assert incompatibility(mub_bases(7, 8), FAST).search_status == "certified-within-gap"
+        assert calls == {"eigh": 0, "cholesky": 0}
 
     def test_search_without_a_cap_has_an_infinite_one(self):
         ens = signal_ensemble(mub_bases(2, 3))
