@@ -25,11 +25,14 @@ strategy. Closed-form bounds are checked as well:
 The measurement step is the fixed-point iteration of Jezek, Rehacek and
 Fiurasek (PRA 65, 060301(R), 2002), which converges linearly. Each start
 over-relaxes it adaptively (Salakhutdinov and Roweis, ICML 2003): once the
-plain step's gains shrink slowly, the start tries the step's weight factors
-raised to a power omega > 1, keeps the result only if the fidelity did not
-fall, and otherwise takes the plain step with omega back at 1. A start
-converges only on a plain step that gains less than ``convergence_eps``. See
-:func:`see_saw` for the rule.
+plain step's gains shrink slowly, the start tries a candidate with a factor
+omega > 1, keeps it only if the fidelity did not fall, and otherwise takes
+the plain step with omega back at 1. A start with more than d outcomes
+raises the step's weight factors to the power omega. A basis (d outcomes of
+weight 1, which every projective start is) keeps its weights under that
+tilt, so it stretches the step's change of direction by omega instead. A
+start converges only on a plain step that gains less than
+``convergence_eps``. See :func:`see_saw` for the rule.
 
 Reports are deterministic: restart r draws from a stream seeded by
 (config.seed, r), so identical configurations give identical output.
@@ -82,12 +85,13 @@ from .tolerances import (
 # gathering the live outcomes around it.
 GATHER_MIN_DIM = 3
 
-# Adaptive over-relaxation of the measurement step (see see_saw). Each
-# accepted candidate multiplies a start's factor omega by OMEGA_GROWTH, up to
-# OMEGA_MAX; a rejected one resets it to 1. Omega leaves 1 after a plain step
-# that gains at least SLOW_GAIN_RATIO times the start's last accepted gain:
-# on starts whose gains shrink faster, a candidate costs a sweep's update
-# twice over and saves no sweeps.
+# Adaptive over-relaxation of the measurement step (see see_saw), by weight
+# tilt or, for a basis, by direction stretch. Each accepted candidate
+# multiplies a start's factor omega by OMEGA_GROWTH, up to OMEGA_MAX; a
+# rejected one resets it to 1. Omega leaves 1 after a plain step that gains
+# at least SLOW_GAIN_RATIO times the start's last accepted gain: on starts
+# whose gains shrink faster, a candidate costs a sweep's update twice over
+# and saves no sweeps.
 OMEGA_GROWTH = 1.5
 OMEGA_MAX = 50.0
 SLOW_GAIN_RATIO = 0.9
@@ -316,20 +320,36 @@ def _rescaled(weights: np.ndarray, moved: np.ndarray, fallback: np.ndarray):
     return weights, directions, factors, empty, lost
 
 
+def _stretched(pulled: np.ndarray, directions: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Pulled vectors G_a chi_a of each start with their part off chi_a stretched by its omega.
+
+    Written as G_a chi_a + (omega - 1) * (off part), so that a start with
+    omega 1 keeps its vectors bit for bit.
+    """
+    off = pulled - np.einsum("sai,sai->sa", directions.conj(), pulled)[..., None] * directions
+    return pulled + (omega - 1.0)[:, None, None] * off
+
+
 def _plain_step(
     ens: SignalEnsemble,
     weights: np.ndarray,
     directions: np.ndarray,
     eta: np.ndarray,
     where: Callable[[int], str],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    stretch: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The fixed-point measurement update of each start for its resend directions ``eta``.
 
     M_a <- L^(-1/2) G_a M_a G_a L^(-1/2) with G_a = Phi(eta_a) and
     L = sum_a G_a M_a G_a: the weight m_a becomes m_a s_a with
-    s_a = |L^(-1/2) G_a chi_a|^2. Returns the new weights, directions and
-    the factors s_a. A start that loses every outcome or completeness
-    raises SingularUpdateError, ``where(i)`` naming start i.
+    s_a = |L^(-1/2) G_a chi_a|^2. A start whose ``stretch`` entry omega is
+    above 1 is a basis and takes the stretched step instead: each pulled
+    vector G_a chi_a keeps its part along chi_a and has its part off chi_a
+    stretched by omega before the same L^(-1/2) and checks. Returns the new
+    weights, directions, the factors s_a and the starts whose stretched step
+    failed its checks and gave way to the plain step. A start whose plain
+    step loses every outcome or completeness raises SingularUpdateError,
+    ``where(i)`` naming start i.
     """
     live = weights > 0.0
     if ens.dim >= GATHER_MIN_DIM and not live.all():
@@ -337,16 +357,32 @@ def _plain_step(
         pulled[live] = (_phi_batch(ens, _signal_overlaps(ens, eta[live])) @ directions[live][..., None])[..., 0]
     else:
         pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
-    update_op = (pulled.swapaxes(1, 2) * weights[:, None, :]) @ pulled.conj()
-    moved = pulled @ _pinv_sqrt(update_op, where).swapaxes(1, 2)
-    weights, directions, factors, empty, lost = _rescaled(weights, moved, directions)
+
+    def update(rows, vectors, where_row):
+        update_op = (vectors.swapaxes(1, 2) * weights[rows, None, :]) @ vectors.conj()
+        moved = vectors @ _pinv_sqrt(update_op, where_row).swapaxes(1, 2)
+        return _rescaled(weights[rows], moved, directions[rows])
+
+    fell = np.zeros(0, dtype=int)
+    if stretch is None:
+        new_weights, new_directions, factors, empty, lost = update(slice(None), pulled, where)
+    else:
+        stretched = _stretched(pulled, directions, stretch)
+        new_weights, new_directions, factors, empty, lost = update(slice(None), stretched, where)
+        failed = empty | lost
+        if failed.any():
+            # a stretch that is not a measurement gives way to the plain step
+            fell = np.flatnonzero(failed & (stretch > 1.0))
+            redone = update(fell, pulled[fell], lambda i: where(fell[i]))
+            for array, new in zip((new_weights, new_directions, factors, empty, lost), redone):
+                array[fell] = new
     if empty.any():
         raise SingularUpdateError(
             f"all outcomes pruned during measurement update ({where(np.flatnonzero(empty)[0])})"
         )
     if lost.any():
         raise SingularUpdateError(f"measurement update lost completeness ({where(np.flatnonzero(lost)[0])})")
-    return weights, directions, factors
+    return new_weights, new_directions, factors, fell
 
 
 def _over_relaxed(
@@ -392,7 +428,11 @@ def _see_saw_batch(
     Each start holds its accepted point, the plain step from it, its
     over-relaxation factor omega and the point the next sweep scores: the
     plain step, or the over-relaxed candidate when omega > 1 (see
-    :func:`see_saw` for the rule).
+    :func:`see_saw` for the rule). A basis builds its candidate, the
+    stretched step, inside the batched plain step and stores no plain step
+    beside it: after a rejection it steps again from its accepted point.
+    The weight candidate is built only on sweeps where a start with more
+    than d outcomes has omega > 1.
 
     Top eigenpairs and resend maps are computed for the live (weight > 0)
     rows only; a dead row keeps its last, finite, resend direction. At
@@ -486,29 +526,50 @@ def _see_saw_batch(
             plain = tuple(array[going] for array in plain)
             omega, last_gain, take = (list(itertools.compress(x, going)) for x in (omega, last_gain, take))
 
-        # a start whose candidate was rejected scores the plain step it stored
-        if all(take):
-            plain = _plain_step(ens, kept_weights, kept_directions, kept_eta, where)
-        elif any(take):
-            rows = np.flatnonzero(take)
-            stepped = _plain_step(
-                ens, kept_weights[rows], kept_directions[rows], kept_eta[rows], lambda i: where(rows[i])
+        # a start whose weight candidate was rejected scores the plain step it stored; a rejected
+        # stretch stored none, so its basis steps again from the accepted point
+        step = take
+        if not all(take):
+            step = np.array(take)
+            rejected = np.flatnonzero(~step)
+            step[rejected[np.count_nonzero(kept_weights[rejected], axis=1) == dim]] = True
+        # d live outcomes that resolve the identity are a basis of weight 1, whose weight candidate
+        # would be the plain step: its omega stretches its directions inside the plain step instead
+        relaxed = stretch = None
+        if max(omega) > 1.0:
+            omegas = np.array(omega)
+            relaxed = omegas > 1.0
+            bases = [i for i, w in enumerate(omega) if w > 1.0 and np.count_nonzero(kept_weights[i]) == dim]
+            if bases:
+                stretch = np.ones(len(omega))
+                stretch[bases] = omegas[bases]
+                relaxed[bases] = False
+        if all(step):
+            *plain, fell = _plain_step(ens, kept_weights, kept_directions, kept_eta, where, stretch)
+        elif any(step):
+            rows = np.flatnonzero(step)
+            *stepped, fell = _plain_step(
+                ens, kept_weights[rows], kept_directions[rows], kept_eta[rows], lambda i: where(rows[i]),
+                None if stretch is None else stretch[rows],
             )
-            plain = tuple(array.copy() for array in plain)
+            fell = rows[fell]
+            plain = [array.copy() for array in plain]
             for array, new in zip(plain, stepped):
                 array[rows] = new
         weights, directions, factors = plain
-        relaxed = np.array(omega) > 1.0
-        if relaxed.any():
-            # d live outcomes that resolve the identity are a basis of weight 1: its candidate is the plain step
-            relaxed &= np.count_nonzero(weights, axis=1) > dim
-            candidate = _over_relaxed(weights, directions, factors, np.array(omega))
-            candidate_weights, candidate_directions, ok = candidate
-            # a candidate that is not a measurement gives way to the plain step, unscored
-            relaxed &= ok
+        if relaxed is not None:
+            # the other relaxed starts take a weight candidate, unless their plain step pruned them to a basis
+            if relaxed.any():
+                relaxed &= np.count_nonzero(weights, axis=1) > dim
+                candidate_weights, candidate_directions, ok = _over_relaxed(weights, directions, factors, omegas)
+                relaxed &= ok
+                weights = np.where(relaxed[:, None], candidate_weights, weights)
+                directions = np.where(relaxed[:, None, None], candidate_directions, directions)
+            if stretch is not None:
+                relaxed[bases] = True
+                relaxed[fell] = False
+            # a candidate or a stretch that is not a measurement gave way to the plain step, unscored
             omega = [w if r else 1.0 for w, r in zip(omega, relaxed.tolist())]
-            weights = np.where(relaxed[:, None], candidate_weights, weights)
-            directions = np.where(relaxed[:, None, None], candidate_directions, directions)
 
     trace = np.full((len(history), n_starts), np.nan)
     for row, (active, values) in zip(trace, history):
@@ -581,10 +642,16 @@ def see_saw(
     as the plain step is. A candidate whose fidelity is at least the
     accepted one is accepted and omega grows 1.5-fold, up to 50; one that
     gains less than ``convergence_eps`` resets omega to 1. A rejected
-    candidate gives way to the stored plain step, with omega at 1 and the
-    accepted resend directions as warm-start guesses. A candidate that is
-    not a measurement, or a start with d outcomes (a basis of weight 1,
-    whose candidate is the plain step), takes the plain step unscored.
+    candidate gives way to the plain step from the accepted measurement,
+    with omega at 1 and the accepted resend directions as warm-start
+    guesses. A candidate that is not a measurement gives way to the plain
+    step unscored.
+
+    A basis (d outcomes, each of weight 1) keeps weight 1 under any tilt, so
+    its candidate is built from the directions instead: each pulled vector
+    G_a chi_a keeps its part along chi_a, has its part off chi_a stretched
+    by omega, and goes through the same L^(-1/2) and checks as the plain
+    step. The rule for omega is the same as above.
 
     A start stops when a plain step gains less than ``convergence_eps`` or
     after ``max_iters`` sweeps. Every sweep counts, rejected candidates
