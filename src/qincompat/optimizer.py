@@ -32,7 +32,7 @@ raises the step's weight factors to the power omega. A basis (d outcomes of
 weight 1, which every projective start is) keeps its weights under that
 tilt, so it stretches the step's change of direction by omega instead. A
 start converges only on a plain step that gains less than
-``convergence_eps``. See :func:`see_saw` for the rule.
+``convergence_eps``. See :func:`_see_saw_batch` for the rule.
 
 Reports are deterministic: restart r draws from a stream seeded by
 (config.seed, r), so identical configurations give identical output.
@@ -85,8 +85,8 @@ from .tolerances import (
 # gathering the live outcomes around it.
 GATHER_MIN_DIM = 3
 
-# Adaptive over-relaxation of the measurement step (see see_saw), by weight
-# tilt or, for a basis, by direction stretch. Each accepted candidate
+# Adaptive over-relaxation of the measurement step (see _see_saw_batch), by
+# weight tilt or, for a basis, by direction stretch. Each accepted candidate
 # multiplies a start's factor omega by OMEGA_GROWTH, up to OMEGA_MAX; a
 # rejected one resets it to 1. Omega leaves 1 after a plain step that gains
 # at least SLOW_GAIN_RATIO times the start's last accepted gain: on starts
@@ -131,7 +131,7 @@ class OptimizerConfig:
     def n_outcomes(self, dim: int) -> int:
         k = self.outcomes if self.outcomes is not None else dim * dim
         if k < dim:
-            raise ValueError(f"completeness needs at least {dim} outcomes, got {k}")
+            raise ValueError(f"outcomes {k} is too small: completeness needs at least d = {dim}")
         return k
 
 
@@ -330,6 +330,22 @@ def _stretched(pulled: np.ndarray, directions: np.ndarray, omega: np.ndarray) ->
     return pulled + (omega - 1.0)[:, None, None] * off
 
 
+def _completed(
+    weights: np.ndarray,
+    vectors: np.ndarray,
+    fallback: np.ndarray,
+    where: Callable[[int], str] | None = None,
+):
+    """Elements ``weights_a * |v_a><v_a|`` made complete by S^(-1/2), S = sum_a weights_a v_a v_a^dagger.
+
+    S^(-1/2) is taken on the support of S, ``where`` naming a singular S as
+    in :func:`_pinv_sqrt`. The result is pruned and checked by
+    :func:`_rescaled`, whose tuple it returns.
+    """
+    frame = (vectors.swapaxes(1, 2) * weights[:, None, :]) @ vectors.conj()
+    return _rescaled(weights, vectors @ _pinv_sqrt(frame, where).swapaxes(1, 2), fallback)
+
+
 def _plain_step(
     ens: SignalEnsemble,
     weights: np.ndarray,
@@ -358,24 +374,16 @@ def _plain_step(
     else:
         pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
 
-    def update(rows, vectors, where_row):
-        update_op = (vectors.swapaxes(1, 2) * weights[rows, None, :]) @ vectors.conj()
-        moved = vectors @ _pinv_sqrt(update_op, where_row).swapaxes(1, 2)
-        return _rescaled(weights[rows], moved, directions[rows])
-
+    vectors = pulled if stretch is None else _stretched(pulled, directions, stretch)
+    new_weights, new_directions, factors, empty, lost = _completed(weights, vectors, directions, where)
     fell = np.zeros(0, dtype=int)
-    if stretch is None:
-        new_weights, new_directions, factors, empty, lost = update(slice(None), pulled, where)
-    else:
-        stretched = _stretched(pulled, directions, stretch)
-        new_weights, new_directions, factors, empty, lost = update(slice(None), stretched, where)
-        failed = empty | lost
-        if failed.any():
-            # a stretch that is not a measurement gives way to the plain step
-            fell = np.flatnonzero(failed & (stretch > 1.0))
-            redone = update(fell, pulled[fell], lambda i: where(fell[i]))
-            for array, new in zip((new_weights, new_directions, factors, empty, lost), redone):
-                array[fell] = new
+    if stretch is not None:
+        fell = np.flatnonzero((empty | lost) & (stretch > 1.0))
+    if fell.size:
+        # a stretch that is not a measurement gives way to the plain step, from the same pulled vectors
+        redone = _completed(weights[fell], pulled[fell], directions[fell], lambda i: where(fell[i]))
+        for array, new in zip((new_weights, new_directions, factors, empty, lost), redone):
+            array[fell] = new
     if empty.any():
         raise SingularUpdateError(
             f"all outcomes pruned during measurement update ({where(np.flatnonzero(empty)[0])})"
@@ -402,9 +410,7 @@ def _over_relaxed(
     factors = np.where(plain_weights > 0.0, factors, 0.0)
     # W^(-1/2) undoes a common scale, so s_a / max_b s_b keeps s_a^omega finite
     tilted = plain_weights * (factors / factors.max(axis=1, keepdims=True)) ** (omega - 1.0)[:, None]
-    frame = (plain_directions.swapaxes(1, 2) * tilted[:, None, :]) @ plain_directions.conj()
-    moved = plain_directions @ _pinv_sqrt(frame).swapaxes(1, 2)
-    weights, directions, _, empty, lost = _rescaled(tilted, moved, plain_directions)
+    weights, directions, _, empty, lost = _completed(tilted, plain_directions, plain_directions)
     return weights, directions, ~(empty | lost)
 
 
@@ -415,7 +421,45 @@ def _see_saw_batch(
     config: OptimizerConfig,
     upper: float = math.inf,
 ) -> _Runs:
-    """Run the see-saw of :func:`see_saw` from B starts at once, in lock step.
+    """Monotone alternating maximization of the average fidelity from B starts at once, in lock step.
+
+    Each sweep scores one measurement per start: it takes the exact best
+    reconstruction for it (top eigenvector of d * Phi(chi_a) per outcome)
+    and its fidelity, and accepts or rejects it. Then every start takes the
+    plain step from its accepted measurement: the fixed-point update
+    M_a <- L^(-1/2) G_a M_a G_a L^(-1/2), where G_a = Phi(sigma_a) and
+    L = sum_a G_a M_a G_a, taken on the support of L: direction
+    chi'_a ~ L^(-1/2) G_a chi_a and weight m_a s_a with
+    s_a = |L^(-1/2) G_a chi_a|^2. Rank-1 elements stay rank-1; outcomes
+    whose weight falls below WEIGHT_PRUNE_EPS are dropped and completeness
+    is re-verified to 1e-9.
+
+    The step is over-relaxed adaptively with a factor omega per start. The
+    first step is plain. After a plain step that gains at least
+    SLOW_GAIN_RATIO (0.9) times the last accepted gain, omega becomes 1.5
+    and the next sweep scores a candidate built on the plain step instead.
+    A start with more than d outcomes takes the weights m_a s_a^omega on the
+    directions chi'_a, made complete again by W^(-1/2) with
+    W = sum_a m_a s_a^omega chi'_a chi'_a^dagger, then pruned and checked
+    as the plain step is. A basis (d outcomes, each of weight 1) keeps
+    weight 1 under any tilt, so its candidate stretches the directions
+    instead: each pulled vector G_a chi_a keeps its part along chi_a, has
+    its part off chi_a stretched by omega, and goes through the same
+    L^(-1/2) and checks as the plain step. A candidate of either kind whose
+    fidelity is at least the accepted one is accepted and omega grows
+    1.5-fold, up to 50; one that gains less than ``convergence_eps`` resets
+    omega to 1. A rejected candidate of either kind gives way to the plain
+    step from the accepted measurement, with omega at 1 and the accepted
+    resend directions as warm-start guesses. A candidate that is not a
+    measurement gives way to the plain step unscored.
+
+    A start stops when a plain step gains less than ``convergence_eps`` or
+    after ``max_iters`` sweeps. Every sweep counts, rejected candidates
+    included, so a start's sweeps count its top-eigenpair evaluations. Its
+    trace holds the accepted fidelity after each sweep and is
+    non-decreasing to 1e-12 per sweep: a plain step that lowers the
+    fidelity by more raises NonMonotoneError, since the update guarantees
+    monotone ascent and any violation signals a numerical bug.
 
     ``weights`` is (B, K) and ``directions`` (B, K, d). An outcome of weight
     0 is padding or pruned: it adds nothing to the fidelity, the update
@@ -423,16 +467,9 @@ def _see_saw_batch(
     enters Phi. A start leaves the active set at its own stopping rule, and
     every operation acts on each start's rows alone, so each start follows
     the trajectory and sweep count it would follow on its own. Every check
-    is made per start, and its error names the start and the sweep.
-
-    Each start holds its accepted point, the plain step from it, its
-    over-relaxation factor omega and the point the next sweep scores: the
-    plain step, or the over-relaxed candidate when omega > 1 (see
-    :func:`see_saw` for the rule). A basis builds its candidate, the
-    stretched step, inside the batched plain step and stores no plain step
-    beside it: after a rejection it steps again from its accepted point.
-    The weight candidate is built only on sweeps where a start with more
-    than d outcomes has omega > 1.
+    is made per start, and its error names the start and the sweep. The
+    weight candidate is built only on sweeps where a start with more than d
+    outcomes has omega > 1.
 
     Top eigenpairs and resend maps are computed for the live (weight > 0)
     rows only; a dead row keeps its last, finite, resend direction. At
@@ -455,7 +492,6 @@ def _see_saw_batch(
     sweeps = np.zeros(n_starts, dtype=int)
     history: list[tuple[np.ndarray, np.ndarray]] = []
     kept_weights, kept_directions, kept_eta, kept_value = weights, directions, directions.copy(), None
-    plain = (weights, directions, np.ones(weights.shape))
     # per start: omega > 1 when the next sweep scores a candidate, and the last accepted gain
     omega = [1.0] * n_starts
     last_gain = [math.inf] * n_starts
@@ -523,16 +559,8 @@ def _see_saw_batch(
             ids, kept_weights, kept_directions, kept_eta, kept_value = (
                 ids[going], kept_weights[going], kept_directions[going], kept_eta[going], kept_value[going]
             )
-            plain = tuple(array[going] for array in plain)
-            omega, last_gain, take = (list(itertools.compress(x, going)) for x in (omega, last_gain, take))
+            omega, last_gain = (list(itertools.compress(x, going)) for x in (omega, last_gain))
 
-        # a start whose weight candidate was rejected scores the plain step it stored; a rejected
-        # stretch stored none, so its basis steps again from the accepted point
-        step = take
-        if not all(take):
-            step = np.array(take)
-            rejected = np.flatnonzero(~step)
-            step[rejected[np.count_nonzero(kept_weights[rejected], axis=1) == dim]] = True
         # d live outcomes that resolve the identity are a basis of weight 1, whose weight candidate
         # would be the plain step: its omega stretches its directions inside the plain step instead
         relaxed = stretch = None
@@ -544,19 +572,7 @@ def _see_saw_batch(
                 stretch = np.ones(len(omega))
                 stretch[bases] = omegas[bases]
                 relaxed[bases] = False
-        if all(step):
-            *plain, fell = _plain_step(ens, kept_weights, kept_directions, kept_eta, where, stretch)
-        elif any(step):
-            rows = np.flatnonzero(step)
-            *stepped, fell = _plain_step(
-                ens, kept_weights[rows], kept_directions[rows], kept_eta[rows], lambda i: where(rows[i]),
-                None if stretch is None else stretch[rows],
-            )
-            fell = rows[fell]
-            plain = [array.copy() for array in plain]
-            for array, new in zip(plain, stepped):
-                array[rows] = new
-        weights, directions, factors = plain
+        weights, directions, factors, fell = _plain_step(ens, kept_weights, kept_directions, kept_eta, where, stretch)
         if relaxed is not None:
             # the other relaxed starts take a weight candidate, unless their plain step pruned them to a basis
             if relaxed.any():
@@ -621,49 +637,13 @@ def see_saw(
     initial: Povm,
     config: OptimizerConfig | None = None,
 ) -> FidelitySearch:
-    """Monotone alternating maximization of the average fidelity from one start.
+    """The see-saw of :func:`_see_saw_batch` on one start, without a cap.
 
-    Each sweep scores one measurement: it takes the exact best
-    reconstruction for it (top eigenvector of d * Phi(chi_a) per outcome)
-    and its fidelity. From the accepted measurement the plain step is the
-    fixed-point update M_a <- L^(-1/2) G_a M_a G_a L^(-1/2), where
-    G_a = Phi(sigma_a) and L = sum_a G_a M_a G_a, taken on the support of L:
-    direction chi'_a ~ L^(-1/2) G_a chi_a and weight m_a s_a with
-    s_a = |L^(-1/2) G_a chi_a|^2. Rank-1 elements stay rank-1; outcomes
-    whose weight falls below WEIGHT_PRUNE_EPS are dropped and completeness
-    is re-verified to 1e-9.
-
-    The step is over-relaxed adaptively with a factor omega per start. The
-    first step is plain. After a plain step that gains at least
-    SLOW_GAIN_RATIO (0.9) times the last accepted gain, omega becomes 1.5
-    and the next sweep scores a candidate instead: weights m_a s_a^omega on
-    the directions chi'_a, made complete again by W^(-1/2) with
-    W = sum_a m_a s_a^omega chi'_a chi'_a^dagger, then pruned and checked
-    as the plain step is. A candidate whose fidelity is at least the
-    accepted one is accepted and omega grows 1.5-fold, up to 50; one that
-    gains less than ``convergence_eps`` resets omega to 1. A rejected
-    candidate gives way to the plain step from the accepted measurement,
-    with omega at 1 and the accepted resend directions as warm-start
-    guesses. A candidate that is not a measurement gives way to the plain
-    step unscored.
-
-    A basis (d outcomes, each of weight 1) keeps weight 1 under any tilt, so
-    its candidate is built from the directions instead: each pulled vector
-    G_a chi_a keeps its part along chi_a, has its part off chi_a stretched
-    by omega, and goes through the same L^(-1/2) and checks as the plain
-    step. The rule for omega is the same as above.
-
-    A start stops when a plain step gains less than ``convergence_eps`` or
-    after ``max_iters`` sweeps. Every sweep counts, rejected candidates
-    included, so ``iterations`` counts the top-eigenpair evaluations. The
-    trace ``traces[0]`` holds the accepted fidelity after each sweep and is
-    non-decreasing to 1e-12 per sweep: a plain step that lowers the
-    fidelity by more raises NonMonotoneError, since the update guarantees
-    monotone ascent and any violation signals a numerical bug. The returned
-    measurement, reconstruction, and fidelity come from the best evaluated
-    sweep and are mutually consistent. This is the search of
-    :func:`optimal_fidelity` run on a batch of one start, without a cap:
-    ``fidelity_upper`` is inf.
+    This is the search of :func:`optimal_fidelity` run on a batch of one
+    start: ``fidelity_upper`` is inf, ``iterations`` counts the start's
+    sweeps and ``traces[0]`` holds its accepted fidelity after each sweep.
+    The returned measurement, reconstruction, and fidelity come from the
+    best evaluated sweep and are mutually consistent.
     """
     if ens.dim != initial.dim:
         raise DimensionMismatchError(f"ensemble dim {ens.dim} vs POVM dim {initial.dim}")

@@ -129,6 +129,12 @@ class TestMeasureCommand:
         assert out == ""
         assert err == f"error: convergence_eps must be positive and finite, got {tol}\n"
 
+    def test_too_few_outcomes_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "measure", write_zx(tmp_path), "--outcomes", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: outcomes 1 is too small: completeness needs at least d = 2\n"
+
     def test_non_hermitian_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         doc = {

@@ -50,7 +50,8 @@ def reference_see_saw(ens, initial, config):
     to the plain step from the accepted point with omega reset to 1, and so
     does a candidate that is not a measurement. Omega leaves 1 after a plain
     step that gains at least 0.9 times the last accepted gain. Returns
-    (fidelity, sweeps, outcomes of the best point).
+    (fidelity, sweeps, outcomes of the best point, the sweeps that rejected
+    a weight candidate).
     """
     kets = ens.kets
     stack = ens.state_projectors
@@ -100,7 +101,7 @@ def reference_see_saw(ens, initial, config):
     best_value, best_outcomes = -np.inf, 0
     kept = None
     omega, last_gain = 1.0, np.inf
-    sweeps = 0
+    sweeps, tilted, rejected = 0, False, []
     for sweep in range(1, config.max_iters + 1):
         sweeps = sweep
         vals, vecs = np.linalg.eigh(phi(directions))
@@ -113,6 +114,8 @@ def reference_see_saw(ens, initial, config):
             gain = value - kept[3]
             if relaxed:
                 take = gain >= 0.0
+                if tilted and not take:
+                    rejected.append(sweep)
                 omega = min(1.5 * omega, 50.0) if take and gain >= config.convergence_eps else 1.0
                 last_gain = gain if take else 0.0
             else:
@@ -124,6 +127,7 @@ def reference_see_saw(ens, initial, config):
             kept = (weights, directions, eta, value)
         if sweep == config.max_iters or (not relaxed and gain < config.convergence_eps):
             break
+        tilted = False
         stretched = plain_step(*kept[:3], omega) if omega > 1.0 and len(kept[0]) == ens.dim else None
         if stretched is not None:
             weights, directions = stretched[:2]
@@ -135,7 +139,8 @@ def reference_see_saw(ens, initial, config):
             omega = 1.0
         else:
             weights, directions = over
-    return best_value, sweeps, best_outcomes
+            tilted = True
+    return best_value, sweeps, best_outcomes, rejected
 
 
 def search_starts(ens, config):
@@ -179,7 +184,7 @@ class TestOptimizerConfig:
         assert OptimizerConfig(outcomes=5).n_outcomes(3) == 5
 
     def test_rejects_too_few_outcomes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^outcomes 2 is too small: completeness needs at least d = 3$"):
             OptimizerConfig(outcomes=2).n_outcomes(3)
 
     @pytest.mark.parametrize(
@@ -340,18 +345,26 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(linalg, "_warm_top_eig", counted)
         monkeypatch.setattr(linalg, "_eigh_top", counted_eigh)
+        rejections = 0
         for ens in self.ensembles():
             search = optimal_fidelity(ens, self.CONFIG)
             starts = search_starts(ens, self.CONFIG)
             assert len(search.start_sweeps) == len(starts)
             assert search.iterations == sum(search.start_sweeps)
             for index, start in enumerate(starts):
-                value, sweeps, _ = reference_see_saw(ens, start, self.CONFIG)
+                value, sweeps, _, rejected = reference_see_saw(ens, start, self.CONFIG)
                 alone = see_saw(ens, start, self.CONFIG)
                 assert search.start_sweeps[index] == sweeps == alone.iterations
                 assert abs(search.restart_trace[index] - value) <= 1e-12
                 assert abs(alone.fidelity - search.restart_trace[index]) <= 1e-12
                 assert len(alone.traces[0]) == sweeps
+                # a rejected weight candidate leaves the accepted fidelity where it was; the next
+                # sweep scores the plain step from there, as the reference does
+                for sweep in rejected:
+                    assert alone.traces[0][sweep - 1] == alone.traces[0][sweep - 2]
+                    assert search.traces[index][sweep - 1] == search.traces[index][sweep - 2]
+                rejections += len(rejected)
+        assert rejections > 0
         # every row of most warm calls is served by its guess or its steps
         assert sum(rows == 0 for rows in to_eigh) > 100
 
@@ -368,7 +381,7 @@ class TestBatchedKernel:
             weights=np.array([1.0 - tiny, 1.0, 1.0, tiny]),
             directions=np.concatenate([ens.vectors[0], ens.vectors[0][:1]]),
         )
-        value, sweeps, left = reference_see_saw(ens, start, config)
+        value, sweeps, left, _ = reference_see_saw(ens, start, config)
         assert left == 3 < start.n_outcomes
         alone = see_saw(ens, start, config)
         assert alone.iterations == sweeps
@@ -383,7 +396,7 @@ class TestBatchedKernel:
         runs = _see_saw_batch(ens, weights, directions, config)
         assert runs.sweeps[0] == sweeps
         assert abs(runs.fidelity[0] - value) <= 1e-12
-        mate_value, mate_sweeps, _ = reference_see_saw(ens, mate, config)
+        mate_value, mate_sweeps, _, _ = reference_see_saw(ens, mate, config)
         assert runs.sweeps[1] == mate_sweeps
         assert abs(runs.fidelity[1] - mate_value) <= 1e-12
 
