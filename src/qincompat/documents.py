@@ -228,9 +228,10 @@ def _item_arrays(raw: list, fields: list[str], dim: int) -> tuple[np.ndarray, In
 def parse_observable_set(doc: dict, config: OptimizerConfig | None = None) -> ObservableSet:
     """Validate a parsed input document and build the observable set.
 
-    Matrices must be Hermitian within 1e-9 and basis vectors orthonormal
-    within 1e-9; observables additionally need a nondegenerate spectrum so
-    their eigenbases are well defined. The document is read and checked in
+    Matrices must be Hermitian within 1e-9, with a squared Frobenius norm
+    that does not overflow, and basis vectors orthonormal within 1e-9;
+    observables additionally need a nondegenerate spectrum so their
+    eigenbases are well defined. The document is read and checked in
     one batched pass: one array of all items, one eigendecomposition of all
     observables (:func:`eigenbasis_rows`), then one :func:`basis_checks` of
     every member, at 1e-10 for eigenbases and 1e-9 for basis items. The
@@ -276,6 +277,9 @@ def parse_observable_set(doc: dict, config: OptimizerConfig | None = None) -> Ob
             k = at[j]
             if isinstance(exc, NotHermitianError):
                 exc = InputFormatError(f"items[{k}].matrix: not Hermitian within {HERMITICITY_TOL:g}")
+            elif isinstance(exc, ValueError):
+                exc = InputFormatError(f"items[{k}].matrix: {exc}")
+                exc.__cause__ = found[j]
             failures[k] = exc
     for k, exc in linalg.first_failures(*basis_checks(rows, tol, labels)).items():
         if k in failures:

@@ -2,16 +2,20 @@
 
 The scenario: a sender transmits states drawn uniformly from a signal
 ensemble; an interceptor measures each state with a rank-1 POVM and forwards
-a reconstruction state chosen per outcome. ``average_fidelity`` scores a
-full strategy (measurement plus reconstruction), ``achievable_fidelity``
-scores a measurement under its best possible reconstruction, and
-``optimal_reconstruction`` produces that best reconstruction explicitly.
+a reconstruction state chosen per outcome. The average fidelity is linear in
+each resend state, so a pure one, eta_a eta_a^dagger, always does best, and
+a strategy is rank-1 on both sides: a :class:`Povm` and a
+:class:`ReconstructionMap` of unit directions. ``average_fidelity`` scores a
+full strategy, ``achievable_fidelity`` scores a measurement under its best
+possible reconstruction, and ``optimal_reconstruction`` produces that best
+reconstruction explicitly.
 
-Two independent closed forms of the achievable fidelity are provided,
+The achievable fidelity has two independent routes,
 
 * the eigenvalue form: sum over outcomes of m_a * lambda_max(Phi(chi_a)),
-* the overlap form: a double sum over outcome probabilities and the
-  squared overlaps of the reconstruction direction with the signal states,
+* the explicit strategy: ``average_fidelity`` of the measurement and its
+  optimal reconstruction, a double sum over outcome probabilities and the
+  squared overlaps of each resend direction with the signal states,
 
 where Phi is the ensemble-averaged measure-and-reprepare map implemented by
 :func:`ensemble_map`. The two must agree to high precision; the test suite
@@ -27,15 +31,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, OutcomeCountMismatchError
 from .observables import SignalEnsemble
-from .tolerances import (
-    COMPLETENESS_TOL,
-    DENSITY_TRACE_TOL,
-    DIRECTION_NORM_TOL,
-    FRAME_FLOOR,
-    INPUT_TRACE_TOL,
-    PSD_TOL,
-    RESEND_HERMITICITY_TOL,
-)
+from .tolerances import COMPLETENESS_TOL, DIRECTION_NORM_TOL, FRAME_FLOOR, INPUT_TRACE_TOL
 
 
 @dataclass(frozen=True)
@@ -93,35 +89,38 @@ def _check_povms(dim: int, weights: np.ndarray, directions: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ReconstructionMap:
-    """Assignment of a resend density matrix to each measurement outcome."""
+    """A pure resend state per measurement outcome: outcome a resends |directions[a]>.
 
-    states: np.ndarray
+    The directions are checked on construction to be finite unit vectors
+    within 1e-10, as those of a :class:`Povm`.
+    """
+
+    directions: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.states, dtype=complex)
-        if s.ndim != 3 or s.shape[1] != s.shape[2]:
-            raise DimensionMismatchError(f"expected (K, d, d) states, got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("reconstruction states must be finite")
-        herm = np.max(np.abs(s - s.conj().transpose(0, 2, 1)))
-        if herm > RESEND_HERMITICITY_TOL:
-            raise ValueError("reconstruction states must be Hermitian")
-        traces = np.einsum("aii->a", s).real
-        if np.max(np.abs(traces - 1.0)) > DENSITY_TRACE_TOL:
-            raise ValueError("reconstruction states must have unit trace")
-        smallest = np.min(np.linalg.eigvalsh((s + s.conj().transpose(0, 2, 1)) / 2))
-        if smallest < -PSD_TOL:
-            raise ValueError(f"reconstruction states must be PSD, min eigenvalue {smallest:.3e}")
-        s.setflags(write=False)
-        object.__setattr__(self, "states", s)
+        x = np.array(self.directions, dtype=complex)
+        if x.ndim != 2:
+            raise DimensionMismatchError(f"expected (K, d) directions, got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("reconstruction directions must be finite")
+        if np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) > DIRECTION_NORM_TOL:
+            raise ValueError("reconstruction directions must be unit vectors")
+        x.setflags(write=False)
+        object.__setattr__(self, "directions", x)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The resend density matrices eta_a eta_a^dagger, as a (K, d, d) stack."""
+        eta = self.directions
+        return eta[:, :, None] * eta.conj()[:, None, :]
 
     @property
     def n_outcomes(self) -> int:
-        return self.states.shape[0]
+        return self.directions.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.directions.shape[1]
 
 
 def _check_dims(ens: SignalEnsemble, povm: Povm) -> None:
@@ -166,9 +165,9 @@ def ensemble_map(ens: SignalEnsemble, rho: np.ndarray) -> np.ndarray:
 def average_fidelity(ens: SignalEnsemble, povm: Povm, recon: ReconstructionMap) -> float:
     """Average fidelity of the full intercept-resend strategy.
 
-    (1/Nd) sum over states k and outcomes a of Tr(P_k M_a) Tr(P_k sigma_a):
+    (1/Nd) sum over states k and outcomes a of Tr(P_k M_a) |<eta_a|v_k>|^2:
     the joint probability of sending state k and observing outcome a, times
-    the fidelity of the resent state against state k.
+    the fidelity of the resent state eta_a against state k.
     """
     _check_dims(ens, povm)
     if recon.n_outcomes != povm.n_outcomes:
@@ -178,7 +177,7 @@ def average_fidelity(ens: SignalEnsemble, povm: Povm, recon: ReconstructionMap) 
     if recon.dim != ens.dim:
         raise DimensionMismatchError(f"reconstruction dim {recon.dim} vs ensemble dim {ens.dim}")
     p_outcome = povm.weights[:, None] * _signal_overlaps(ens, povm.directions)
-    p_resend = np.einsum("ki,aij,kj->ak", ens.kets.conj(), recon.states, ens.kets).real
+    p_resend = _signal_overlaps(ens, recon.directions)
     return float(np.sum(p_outcome * p_resend)) / ens.n_states
 
 
@@ -188,12 +187,13 @@ def optimal_reconstruction(ens: SignalEnsemble, povm: Povm) -> ReconstructionMap
     For each outcome, resend the pure state along the top eigenvector of
     d * Phi(chi_a), which is a density matrix; by linearity of the average
     fidelity in sigma_a no mixed choice can do better. Degenerate top
-    eigenvalues resolve to the deterministic eigenvector order of eigh.
+    eigenvalues resolve to the deterministic eigenvector order of eigh, and
+    each direction's phase is fixed.
     """
     _check_dims(ens, povm)
     phi = _phi_batch(ens, _signal_overlaps(ens, povm.directions))
     _, eta = linalg.batched_top_eig(phi)
-    return ReconstructionMap(states=eta[:, :, None] * eta.conj()[:, None, :])
+    return ReconstructionMap(linalg.fix_phases(eta))
 
 
 def achievable_fidelity(ens: SignalEnsemble, povm: Povm) -> float:
@@ -205,24 +205,6 @@ def achievable_fidelity(ens: SignalEnsemble, povm: Povm) -> float:
     phi = _phi_batch(ens, _signal_overlaps(ens, povm.directions))
     lam = np.linalg.eigvalsh(phi)[:, -1]
     return float(np.sum(povm.weights * lam))
-
-
-def achievable_fidelity_overlap_form(ens: SignalEnsemble, povm: Povm) -> float:
-    """Achievable fidelity via outcome probabilities and overlaps.
-
-    With p[a, k] = Tr(P_k chi_a) and q[a, k] = <eta_a|P_k|eta_a> for the
-    optimal resend direction eta_a, the per-outcome factor is
-    sum_k p[a, k] q[a, k] = <eta_a| (Nd Phi(chi_a)) |eta_a>, so the total is
-    (1/Nd) sum_a m_a sum_k p[a, k] q[a, k]. The m_a weighting is forced by
-    consistency with the eigenvalue form, since lambda_max(Phi(chi_a)) =
-    <eta_a|Phi(chi_a)|eta_a>.
-    """
-    _check_dims(ens, povm)
-    probs = _signal_overlaps(ens, povm.directions)
-    _, eta = linalg.batched_top_eig(_phi_batch(ens, probs))
-    resend_overlaps = _signal_overlaps(ens, eta)
-    per_outcome = np.sum(probs * resend_overlaps, axis=1)
-    return float(np.sum(povm.weights * per_outcome)) / ens.n_states
 
 
 def random_povm(dim: int, n_outcomes: int, rngs) -> tuple[np.ndarray, np.ndarray]:

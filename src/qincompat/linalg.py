@@ -100,41 +100,46 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
     gives each matrix the bits a solve of that matrix alone gives.
 
     ``failures`` maps entry k to the error of the first check it fails, in
-    this order: NotHermitianError when ||H - H^dagger||_F > 1e-9 * ||H||_F;
-    ConvergenceError when the solver fails, when the rows' Gram matrix is
-    off the identity by more than 1e-10, or when the factors miss
-    (H + H^dagger)/2 by more than 1e-9 * max(1, ||H||_F), all in Frobenius
-    norm. Entries that fail still get (meaningless) factors.
+    this order: ValueError when ||H||_F^2 overflows, which leaves the
+    relative tests unbounded; NotHermitianError when
+    ||H - H^dagger||_F > 1e-9 * ||H||_F; ConvergenceError when the solver
+    fails, when the rows' Gram matrix is off the identity by more than
+    1e-10, or when the factors miss (H + H^dagger)/2 by more than
+    1e-9 * max(1, ||H||_F), all in Frobenius norm. Each test is written as not (err <= tol), so NaN errors fail it.
+    Entries that fail still get (meaningless) factors, computed without
+    floating-point warnings.
     """
     h = np.asarray(matrices, dtype=complex)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {h.shape}")
-    adjoint = h.conj().swapaxes(1, 2)
-    hermitian = (h + adjoint) / 2
-    vals, vecs, unsolved = _eigh_each(hermitian)
-    order = (-vals).argsort(axis=1, kind="stable")
-    entry = np.arange(len(h))[:, None]
-    values = vals[entry, order]
-    rows = fix_phases(vecs.swapaxes(1, 2)[entry, order])
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = h.conj().swapaxes(1, 2)
+        hermitian = (h + adjoint) / 2
+        vals, vecs, unsolved = _eigh_each(hermitian)
+        order = (-vals).argsort(axis=1, kind="stable")
+        entry = np.arange(len(h))[:, None]
+        values = vals[entry, order]
+        rows = fix_phases(vecs.swapaxes(1, 2)[entry, order])
 
-    columns, conj = rows.swapaxes(1, 2), rows.conj()
-    scale, asymmetry, gram_error, residual = frobenius_norms(np.array((
-        h, h - adjoint, conj @ columns - np.eye(h.shape[1]), (columns * values[:, None, :]) @ conj - hermitian
-    )))
+        columns, conj = rows.swapaxes(1, 2), rows.conj()
+        scale, asymmetry, gram_error, residual = frobenius_norms(np.array((
+            h, h - adjoint, conj @ columns - np.eye(h.shape[1]), (columns * values[:, None, :]) @ conj - hermitian
+        )))
     diverged = np.zeros(len(h), dtype=bool)
     if unsolved:
         diverged[list(unsolved)] = True
     failures = first_failures(
         (
+            ~np.isfinite(scale),
             ~(asymmetry <= HERMITICITY_TOL * scale),
             diverged,
-            gram_error > EIGENVECTOR_GRAM_TOL,
-            residual > RECONSTRUCTION_TOL * np.maximum(1.0, scale),
+            ~(gram_error <= EIGENVECTOR_GRAM_TOL),
+            ~(residual <= RECONSTRUCTION_TOL * np.maximum(1.0, scale)),
         ),
         (
+            lambda k: ValueError("entries too large: the squared Frobenius norm overflows double precision"),
             lambda k: NotHermitianError(
-                f"matrix deviates from Hermitian by {frobenius_norm(h[k] - adjoint[k]):.3e}"
-                f" (relative tol {HERMITICITY_TOL:g})"
+                f"matrix deviates from Hermitian by {asymmetry[k]:.3e} (relative tol {HERMITICITY_TOL:g})"
             ),
             lambda k: ConvergenceError(f"eigensolver did not converge: {unsolved[k]}"),
             lambda k: ConvergenceError("eigenvectors lost orthonormality"),

@@ -163,12 +163,14 @@ def basis_checks(vectors: np.ndarray, tol, labels) -> tuple[tuple, tuple]:
     Entry k fails when some |<v_i|v_j>|^2 is off the identity by more than
     ``tol`` (a scalar, or one value per entry), or else when sum_j |v_j><v_j|
     is off it by more than ``tol`` in Frobenius norm; ``labels[k]`` names
-    it. Written as not (err <= tol) so that NaN amplitudes fail too.
+    it. Written as not (err <= tol) so that NaN amplitudes fail too, and
+    computed without floating-point warnings, so that huge ones fail quietly.
     """
     eye = np.eye(vectors.shape[-1])
     conj, columns = vectors.conj(), vectors.swapaxes(1, 2)
-    off = np.abs(np.abs(conj @ columns) ** 2 - eye).max(axis=(1, 2))
-    incomplete = linalg.frobenius_norms(columns @ conj - eye)
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(np.abs(conj @ columns) ** 2 - eye).max(axis=(1, 2))
+        incomplete = linalg.frobenius_norms(columns @ conj - eye)
 
     def tol_of(k: int) -> float:
         return float(np.broadcast_to(tol, off.shape)[k])
@@ -205,7 +207,7 @@ def eigenbasis_of(matrix: np.ndarray, label: str = "") -> Eigenbasis:
     """Eigenbasis of a Hermitian observable, eigenvalues sorted descending.
 
     :func:`eigenbasis_rows` and :func:`basis_checks` on a stack of one.
-    Raises NotHermitianError or ConvergenceError from the
+    Raises ValueError, NotHermitianError or ConvergenceError from the
     eigendecomposition, and DegenerateSpectrumError when two eigenvalues
     are closer than DEGENERACY_TOL; the eigenprojector list is
     ambiguous in that case and the ambiguity is surfaced instead of

@@ -618,11 +618,10 @@ def _search(
     # the difference itself, not fidelity >= max - tol: it is exact for close values
     best = int(np.flatnonzero(runs.fidelity.max() - runs.fidelity <= TIE_TOL)[0])
     kept = runs.weights[best] > 0.0
-    eta = linalg.fix_phases(runs.eta[best][kept])
     return FidelitySearch(
         fidelity=float(runs.fidelity[best]),
         povm=Povm(ens.dim, runs.weights[best][kept], linalg.fix_phases(runs.directions[best][kept])),
-        reconstruction=ReconstructionMap(states=eta[:, :, None] * eta.conj()[:, None, :]),
+        reconstruction=ReconstructionMap(linalg.fix_phases(runs.eta[best][kept])),
         restart_trace=tuple(float(f) for f in runs.fidelity),
         iterations=int(np.sum(runs.sweeps)),
         start_sweeps=tuple(int(n) for n in runs.sweeps),

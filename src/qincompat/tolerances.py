@@ -26,12 +26,9 @@ COMMUTATION_TOL = 1e-9  # max ||[P_j, Q_l]||_F of unit-scale projectors, and 1 -
 MUB_TOL = 1e-10  # |<a_j|b_l>|^2 off 1/d across bases, or off delta_jl within one, in max norm: absolute
 STATE_NORM_TOL = 1e-10  # max_k | ||v_k||_2 - 1 | over the states of a signal ensemble: absolute
 
-# Measurements and resend states (fidelity)
+# Measurements and resend directions (fidelity)
 COMPLETENESS_TOL = 1e-9  # ||sum_a m_a |chi_a><chi_a| - I||_F and |sum_a m_a - d| of a POVM: absolute
-DIRECTION_NORM_TOL = 1e-10  # max_a | ||chi_a||_2 - 1 | over the directions of a POVM: absolute
-RESEND_HERMITICITY_TOL = 1e-9  # largest entry of |sigma - sigma^dagger| of a resend state: absolute
-DENSITY_TRACE_TOL = 1e-10  # |Tr sigma - 1| of a resend state: absolute
-PSD_TOL = 1e-10  # -lambda_min of a resend state, the negative part it may have: absolute
+DIRECTION_NORM_TOL = 1e-10  # max_a | ||chi_a||_2 - 1 | over the directions of a POVM or resend map: absolute
 INPUT_TRACE_TOL = 1e-9  # |Tr rho - 1| of the state given to fidelity.ensemble_map: absolute
 FRAME_FLOOR = 1e-12  # lambda_min of sum_a |chi_a><chi_a| below which random directions do not span
 

@@ -15,7 +15,6 @@ from .errors import BoundViolationError, DegenerateSpectrumError
 from .fidelity import (
     Povm,
     achievable_fidelity,
-    achievable_fidelity_overlap_form,
     average_fidelity,
     ensemble_map,
     optimal_reconstruction,
@@ -102,9 +101,8 @@ def collision_sum_suite(samples: int = 2000, seed: int = 0) -> SuiteResult:
 
 
 def fidelity_consistency_suite(samples: int = 200, seed: int = 0) -> SuiteResult:
-    """Three routes to the achievable fidelity must agree to 1e-10."""
+    """The eigenvalue form and the explicit strategy must agree to 1e-10 on the achievable fidelity."""
     rng = np.random.default_rng((seed, 202))
-    checks = 0
     failures = 0
     worst = 0.0
     for _ in range(samples):
@@ -115,14 +113,11 @@ def fidelity_consistency_suite(samples: int = 200, seed: int = 0) -> SuiteResult
         povm = Povm(dim, weights[0], directions[0])
 
         eig_form = achievable_fidelity(ens, povm)
-        overlap_form = achievable_fidelity_overlap_form(ens, povm)
         explicit = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))
-        gap = max(abs(eig_form - overlap_form), abs(eig_form - explicit))
+        gap = abs(eig_form - explicit)
         worst = max(worst, gap)
-        checks += 2
-        failures += int(abs(eig_form - overlap_form) > 1e-10)
-        failures += int(abs(eig_form - explicit) > 1e-10)
-    return SuiteResult("fidelity-consistency", checks, failures, f"worst gap {worst:.3e}")
+        failures += int(gap > 1e-10)
+    return SuiteResult("fidelity-consistency", samples, failures, f"worst gap {worst:.3e}")
 
 
 def map_contract_suite(samples: int = 100, seed: int = 0) -> SuiteResult:

@@ -158,6 +158,18 @@ class TestMeasureCommand:
         assert out == ""
         assert err == "error: items[0].vectors: non-finite number\n"
 
+    @pytest.mark.parametrize("scale", [1e160, 1e308])
+    def test_huge_observable_exits_2(self, tmp_path, capsys, scale):
+        path = tmp_path / "huge.json"
+        doc = basis_document(mub_bases(2, 1))
+        doc["items"].append({"type": "observable", "matrix": to_pairs(np.array([[scale, scale], [0.0, -scale]]))})
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measure", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: items[1].matrix: entries too large: the squared Frobenius norm overflows double precision\n"
+        )
+
     def test_commuting_input_reports_zero(self, tmp_path, capsys):
         z = Eigenbasis(np.eye(2, dtype=complex), label="Z")
         z2 = Eigenbasis(np.eye(2, dtype=complex)[::-1].copy(), label="Z-sw")

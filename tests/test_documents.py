@@ -133,6 +133,26 @@ class TestParseObservableSet:
         with pytest.raises(InputFormatError, match=rf"items\[1\]\.{field}: non-finite number"):
             parse_observable_set(doc)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[s, s], [0.0, -s]] for s in (1e160, 1e200, 1e308)] + [[[1e308, 1e308], [1e308, -1e308]]],
+        ids=["non-hermitian-1e160", "non-hermitian-1e200", "non-hermitian-1e308", "hermitian-1e308"],
+    )
+    def test_rejects_entries_whose_norm_overflows(self, matrix):
+        # ||H||_F^2 overflows, so a relative Hermiticity test would pass any asymmetry
+        doc = basis_document(mub_bases(2, 1))
+        doc["items"].append(observable_item(matrix))
+        with pytest.raises(InputFormatError, match=r"^items\[1\]\.matrix: entries too large"):
+            parse_observable_set(doc)
+        with pytest.raises(ValueError, match="overflows"):
+            eigenbasis_of(np.array(matrix))
+
+    @pytest.mark.parametrize("scale", [1e80, 1e160, 1e308])
+    def test_rejects_huge_basis_vectors(self, scale):
+        doc = {"dim": 2, "items": [{"type": "basis", "label": "huge", "vectors": to_pairs(scale * np.eye(2))}]}
+        with pytest.raises(InputFormatError, match=r"^items\[0\]\.vectors: basis 'huge' is not orthonormal"):
+            parse_observable_set(doc)
+
     def test_rejects_unknown_type(self):
         with pytest.raises(InputFormatError):
             parse_observable_set({"dim": 2, "items": [{"type": "thing"}]})

@@ -9,7 +9,6 @@ from qincompat.fidelity import (
     _phi_batch,
     _signal_overlaps,
     achievable_fidelity,
-    achievable_fidelity_overlap_form,
     average_fidelity,
     ensemble_map,
     optimal_reconstruction,
@@ -22,11 +21,6 @@ ZX_ENSEMBLE = signal_ensemble(mub_bases(2, 2))
 ZXY_ENSEMBLE = signal_ensemble(mub_bases(2, 3))
 Z_POVM = projective_povm(mub_bases(2, 1).members[0])
 SINGLE_BASIS = signal_ensemble(mub_bases(3, 1))
-
-
-def resend_basis_states(basis_vectors: np.ndarray) -> ReconstructionMap:
-    states = basis_vectors[:, :, None] * basis_vectors.conj()[:, None, :]
-    return ReconstructionMap(states=states)
 
 
 class TestPovmValidation:
@@ -69,53 +63,65 @@ class TestPovmValidation:
 
 
 class TestReconstructionValidation:
-    def test_rejects_trace_violation(self):
-        with pytest.raises(ValueError):
-            ReconstructionMap(states=np.stack([np.eye(2, dtype=complex)]))
-
-    def test_rejects_negative_state(self):
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValueError):
-            ReconstructionMap(states=np.stack([bad]))
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 2)])
+    def test_rejects_wrong_ndim(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            ReconstructionMap(np.ones(shape, dtype=complex) / np.sqrt(2))
 
     def test_rejects_nan(self):
-        states = np.stack([np.eye(2, dtype=complex) / 2])
-        states[0, 0, 1] = np.nan
+        directions = np.eye(2, dtype=complex)
+        directions[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            ReconstructionMap(states=states)
+            ReconstructionMap(directions)
 
-    def test_accepts_mixed_states(self, rng):
-        states = np.stack([random_density(2, rng) for _ in range(3)])
-        assert ReconstructionMap(states=states).n_outcomes == 3
+    def test_rejects_trace_violation(self):
+        # the resend state of a row eta is eta eta^dagger, of trace ||eta||^2
+        for scale in (0.5, 1.0 + 1e-9, 2.0):
+            directions = np.eye(2, dtype=complex)
+            directions[1] *= scale
+            with pytest.raises(ValueError, match="unit vectors"):
+                ReconstructionMap(directions)
+
+    def test_states_are_rank_one_projectors(self, rng):
+        directions = linalg.random_unit_vectors(3, 4, rng)
+        recon = ReconstructionMap(directions)
+        assert (recon.n_outcomes, recon.dim) == (3, 4)
+        for eta, state in zip(directions, recon.states):
+            np.testing.assert_allclose(state, np.outer(eta, eta.conj()), rtol=0, atol=1e-15)
 
 
 class TestAverageFidelity:
     def test_perfect_discrimination_of_one_basis(self):
         basis = mub_bases(3, 1).members[0]
         ens = signal_ensemble(ObservableSet((basis,)))
-        value = average_fidelity(ens, projective_povm(basis), resend_basis_states(basis.vectors))
+        value = average_fidelity(ens, projective_povm(basis), ReconstructionMap(basis.vectors))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_measure_z_resend_z_on_two_unbiased_bases(self):
-        recon = resend_basis_states(np.eye(2, dtype=complex))
+        recon = ReconstructionMap(np.eye(2, dtype=complex))
         value = average_fidelity(ZX_ENSEMBLE, Z_POVM, recon)
         assert value == pytest.approx(0.75, abs=1e-12)
 
     def test_maximally_mixed_resend_scores_one_over_d(self, rng):
+        # the fidelity is linear in each resend state, so resending I/d scores the mean over the d maps
+        # that resend every outcome as the basis vector e_j
         for dim, count in [(2, 2), (3, 2), (4, 3)]:
             ens = random_ensemble(dim, count, rng)
             povm = one_random_povm(dim, dim * dim, rng)
-            recon = ReconstructionMap(states=np.stack([np.eye(dim) / dim] * povm.n_outcomes))
-            assert average_fidelity(ens, povm, recon) == pytest.approx(1.0 / dim, abs=1e-12)
+            values = [
+                average_fidelity(ens, povm, ReconstructionMap(np.tile(e, (povm.n_outcomes, 1))))
+                for e in np.eye(dim, dtype=complex)
+            ]
+            assert float(np.mean(values)) == pytest.approx(1.0 / dim, abs=1e-12)
 
     def test_outcome_count_mismatch(self):
-        recon = resend_basis_states(np.eye(2, dtype=complex))
+        recon = ReconstructionMap(np.eye(2, dtype=complex))
         povm3 = one_random_povm(2, 3, np.random.default_rng(0))
         with pytest.raises(OutcomeCountMismatchError):
             average_fidelity(ZX_ENSEMBLE, povm3, recon)
 
     def test_dim_mismatch(self):
-        recon = resend_basis_states(np.eye(2, dtype=complex))
+        recon = ReconstructionMap(np.eye(2, dtype=complex))
         with pytest.raises(DimensionMismatchError):
             average_fidelity(SINGLE_BASIS, Z_POVM, recon)
 
@@ -180,9 +186,8 @@ class TestOptimalReconstruction:
             ens = random_ensemble(2, 2, rng)
             povm = one_random_povm(2, 4, rng)
             best = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))
-            rival = ReconstructionMap(
-                states=np.stack([random_density(2, rng) for _ in range(povm.n_outcomes)])
-            )
+            # a mixed rival is a convex mixture of pure ones, so pure rivals cover it
+            rival = ReconstructionMap(linalg.random_unit_vectors(povm.n_outcomes, 2, rng))
             assert best >= average_fidelity(ens, povm, rival) - 1e-10
 
 
@@ -226,33 +231,34 @@ class TestAchievableFidelity:
 class TestRouteConsistency:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_three_routes_agree(self, dim):
+        # the eigenvalue form, the explicit strategy, and per-outcome eigenvalues of the public ensemble map
         rng = np.random.default_rng(dim * 17)
         for _ in range(50):
             count = int(rng.integers(1, 4))
             ens = random_ensemble(dim, count, rng)
             povm = one_random_povm(dim, int(rng.integers(dim, dim * dim + 1)), rng)
             eig_form = achievable_fidelity(ens, povm)
-            overlap_form = achievable_fidelity_overlap_form(ens, povm)
             explicit = average_fidelity(ens, povm, optimal_reconstruction(ens, povm))
-            assert abs(eig_form - overlap_form) <= 1e-10
+            per_outcome = float(np.sum(povm.weights * top_eigenvalues(ens, povm)))
             assert abs(eig_form - explicit) <= 1e-10
+            assert abs(eig_form - per_outcome) <= 1e-10
 
     def test_projective_measurement_case(self):
-        assert achievable_fidelity_overlap_form(ZX_ENSEMBLE, Z_POVM) == pytest.approx(0.75, abs=1e-12)
+        explicit = average_fidelity(ZX_ENSEMBLE, Z_POVM, optimal_reconstruction(ZX_ENSEMBLE, Z_POVM))
+        assert explicit == pytest.approx(0.75, abs=1e-12)
 
     def test_single_basis_is_perfect(self):
         basis = mub_bases(3, 1).members[0]
         ens = signal_ensemble(ObservableSet((basis,)))
-        assert achievable_fidelity_overlap_form(ens, projective_povm(basis)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        povm = projective_povm(basis)
+        assert average_fidelity(ens, povm, optimal_reconstruction(ens, povm)) == pytest.approx(1.0, abs=1e-12)
 
 
 def projective_strategy_fidelity(ens, basis_index):
     """Average fidelity of measuring in one basis of the ensemble and resending the outcome's vector."""
     basis_vectors = ens.vectors[basis_index]
     povm = Povm(dim=ens.dim, weights=np.ones(ens.dim), directions=basis_vectors)
-    return average_fidelity(ens, povm, resend_basis_states(basis_vectors))
+    return average_fidelity(ens, povm, ReconstructionMap(basis_vectors))
 
 
 class TestProjectiveStrategyFidelity:

@@ -88,6 +88,18 @@ class TestHermEig:
         expected, _, _ = herm_eigs(stack[[0, 2]])
         assert np.array_equal(values[[0, 2]], expected)
 
+    def test_nan_factors_fail_the_gram_check(self, monkeypatch):
+        original = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            vals, vecs = original(a, *args, **kwargs)
+            return vals, np.full_like(vecs, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        _, _, failures = herm_eigs(np.diag([1.0, -1.0])[None])
+        assert isinstance(failures[0], ConvergenceError)
+        assert str(failures[0]) == "eigenvectors lost orthonormality"
+
 
 class TestMaxEig:
     """The largest eigenpair: herm_eigs's first eigenvalue and row."""

@@ -589,7 +589,7 @@ class TestIncompatibility:
         assert a.restart_trace == b.restart_trace
         assert np.array_equal(a.best_povm.weights, b.best_povm.weights)
         assert np.array_equal(a.best_povm.directions, b.best_povm.directions)
-        assert np.array_equal(a.best_reconstruction.states, b.best_reconstruction.states)
+        assert np.array_equal(a.best_reconstruction.directions, b.best_reconstruction.directions)
 
 
 class TestSpectralCap:
