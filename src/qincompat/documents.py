@@ -228,8 +228,8 @@ def _item_arrays(raw: list, fields: list[str], dim: int) -> tuple[np.ndarray, In
 def parse_observable_set(doc: dict, config: OptimizerConfig | None = None) -> ObservableSet:
     """Validate a parsed input document and build the observable set.
 
-    Matrices must be Hermitian within 1e-9, with a squared Frobenius norm
-    that does not overflow, and basis vectors orthonormal within 1e-9;
+    Matrices must be Hermitian within 1e-9, with a Frobenius norm that
+    does not overflow, and basis vectors orthonormal within 1e-9;
     observables additionally need a nondegenerate spectrum so their
     eigenbases are well defined. The document is read and checked in
     one batched pass: one array of all items, one eigendecomposition of all

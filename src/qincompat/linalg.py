@@ -32,8 +32,28 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a (..., d, d) stack."""
-    return np.sqrt((stack * stack.conj()).real.sum(axis=(-2, -1)))
+    """Frobenius norm of each matrix of a (..., d, d) stack.
+
+    A matrix whose sum of squares overflows is summed again scaled by 2^-e,
+    with 2^e just above its largest |entry|, so that its norm overflows only
+    where the norm itself does. Scaling by a power of two is exact; the
+    other matrices keep the bits of the plain sum.
+    """
+    # the imaginary parts of the products are not used, and may be inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = (stack * stack.conj()).real.sum(axis=(-2, -1))
+    norms = np.sqrt(squares)
+    huge = np.isinf(squares)
+    if huge.any():
+        norms, big = np.array(norms), stack[huge]
+        _, exponent = np.frexp(np.maximum(np.abs(big.real), np.abs(big.imag)).max(axis=(-2, -1)))
+        factor = np.ldexp(1.0, -exponent)[:, None, None]
+        # the parts are scaled one by one: a complex product would turn an infinite entry into NaN
+        scaled = np.empty(big.shape, dtype=complex)
+        scaled.real, scaled.imag = big.real * factor, big.imag * factor
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[huge] = np.ldexp(np.sqrt((scaled * scaled.conj()).real.sum(axis=(-2, -1))), exponent)
+    return norms
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -100,7 +120,7 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
     gives each matrix the bits a solve of that matrix alone gives.
 
     ``failures`` maps entry k to the error of the first check it fails, in
-    this order: ValueError when ||H||_F^2 overflows, which leaves the
+    this order: ValueError when ||H||_F overflows, which leaves the
     relative tests unbounded; NotHermitianError when
     ||H - H^dagger||_F > 1e-9 * ||H||_F; ConvergenceError when the solver
     fails, when the rows' Gram matrix is off the identity by more than
@@ -114,7 +134,7 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {h.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         adjoint = h.conj().swapaxes(1, 2)
-        hermitian = (h + adjoint) / 2
+        hermitian = h / 2 + adjoint / 2
         vals, vecs, unsolved = _eigh_each(hermitian)
         order = (-vals).argsort(axis=1, kind="stable")
         entry = np.arange(len(h))[:, None]
@@ -137,7 +157,7 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
             ~(residual <= RECONSTRUCTION_TOL * np.maximum(1.0, scale)),
         ),
         (
-            lambda k: ValueError("entries too large: the squared Frobenius norm overflows double precision"),
+            lambda k: ValueError("entries too large: the Frobenius norm overflows double precision"),
             lambda k: NotHermitianError(
                 f"matrix deviates from Hermitian by {asymmetry[k]:.3e} (relative tol {HERMITICITY_TOL:g})"
             ),
@@ -149,7 +169,9 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
     return values, rows, failures
 
 
-def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def batched_top_eig(
+    matrices: np.ndarray, guess: np.ndarray | None = None, *, _steps: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and a top eigenvector of a (..., d, d) Hermitian PSD stack.
 
     Evaluated without per-matrix Python overhead; inputs are trusted to be
@@ -160,14 +182,15 @@ def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tu
     guess g with one matrix-vector product, and a guess that passes is
     returned as (g^dagger A g, g) with no solver run; at d >= WARM_MIN_DIM a
     guess that misses the residual takes Rayleigh-quotient steps (see
-    :func:`_warm_top_eig`). The other matrices go through one eigh of their
-    stack. A value from a guess or a step is the Rayleigh quotient of the
-    returned vector and lies within WARM_CERTIFICATE_SHIFT * tr A of the top
-    eigenvalue.
+    :func:`_warm_top_eig`), unless ``_steps`` is False: a caller whose
+    guesses are either exact or far off sends the misses straight on. The
+    other matrices go through one eigh of their stack. A value from a guess
+    or a step is the Rayleigh quotient of the returned vector and lies
+    within WARM_CERTIFICATE_SHIFT * tr A of the top eigenvalue.
     """
     if guess is None:
         return _eigh_top(matrices)
-    return _warm_top_eig(matrices, guess)
+    return _warm_top_eig(matrices, guess, 2 if _steps and guess.shape[-1] >= WARM_MIN_DIM else 0)
 
 
 def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,15 +198,15 @@ def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[..., -1], vecs[..., :, -1]
 
 
-def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenpairs from checked guesses and at most two Rayleigh-quotient steps, with eigh for the rest.
+def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpairs from checked guesses and at most ``steps`` Rayleigh-quotient steps, with eigh for the rest.
 
     A matrix A keeps the guess g, with rho = g^dagger A g, when the residual
     ||A g - rho g|| is at most WARM_RESIDUAL_TOL * tr A and :func:`_certified`
-    proves lambda_max < rho + WARM_CERTIFICATE_SHIFT * tr A. At
-    d >= WARM_MIN_DIM a matrix whose guess misses the residual takes a step
-    from g at rho (see :func:`_rayleigh_step`), checked the same way, and one
-    whose step misses again takes a second step from the first one's vector.
+    proves lambda_max < rho + WARM_CERTIFICATE_SHIFT * tr A. A matrix whose
+    guess misses the residual takes a step from g at rho (see
+    :func:`_rayleigh_step`), checked the same way, and one whose step misses
+    again takes the next step from that step's vector.
     A matrix whose certificate is refused, whose shifted solve is singular or
     whose residual misses after its last step goes through eigh, alone: the
     other matrices keep what their checks accepted.
@@ -193,7 +216,7 @@ def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, 
     trace = np.einsum("kii->k", matrices).real
     rho, pending, served = _checked(matrices, guess, trace)
     vec = guess.copy()
-    for _ in range(2 if dim >= WARM_MIN_DIM else 0):
+    for _ in range(steps):
         if not pending.any():
             break
         at = _rows(pending)

@@ -192,7 +192,8 @@ def eigenbasis_rows(matrices: np.ndarray, labels) -> tuple[np.ndarray, dict[int,
     rows have not yet passed :func:`basis_checks`.
     """
     values, rows, failures = linalg.herm_eigs(matrices)
-    degenerate = (values[:, :-1] - values[:, 1:]).min(axis=1, initial=np.inf) < DEGENERACY_TOL
+    with np.errstate(over="ignore"):  # a gap between eigenvalues near +-1e308 overflows to inf: not degenerate
+        degenerate = (values[:, :-1] - values[:, 1:]).min(axis=1, initial=np.inf) < DEGENERACY_TOL
 
     def error(k: int) -> DegenerateSpectrumError:
         gap = float(np.min(-np.diff(values[k])))  # -diff, so an exact tie reads -0.000e+00 as it always has

@@ -32,7 +32,17 @@ raises the step's weight factors to the power omega. A basis (d outcomes of
 weight 1, which every projective start is) keeps its weights under that
 tilt, so it stretches the step's change of direction by omega instead. A
 start converges only on a plain step that gains less than
-``convergence_eps``. See :func:`_see_saw_batch` for the rule.
+``convergence_eps``.
+
+Random starts carry d^2 outcomes, while the optima they reach use far fewer
+distinct directions. From d = MERGE_MIN_DIM (5) on, every MERGE_EVERY (5)
+sweeps a start with more than d live outcomes scores a merge candidate: its
+outcomes whose directions nearly coincide are replaced by the top eigenpair
+of their summed element, and the result is made complete again. The
+candidate is kept only if the fidelity did not fall, so a merge never
+lowers a start's fidelity, and the merged-away outcomes cost no further
+eigenpairs or resend maps. Reported strategies shrink with their start.
+See :func:`_see_saw_batch` for the rule.
 
 Reports are deterministic: restart r draws from a stream seeded by
 (config.seed, r), so identical configurations give identical output.
@@ -95,6 +105,17 @@ GATHER_MIN_DIM = 3
 OMEGA_GROWTH = 1.5
 OMEGA_MAX = 50.0
 SLOW_GAIN_RATIO = 0.9
+
+# Outcome merging (see _merged). Every MERGE_EVERY sweeps, a start with more than d live outcomes
+# scores a candidate whose outcomes with |<chi_a|chi_b>|^2 > MERGE_OVERLAP are merged. On the d = 6-8
+# random sets of the seed-1 benchmark corpus, merging every 5 sweeps at 1 - 1e-4 cuts the top-eigenpair
+# rows from 114,284 to 38,024 and the lock-step sweeps from 811 to 706, and lowers no set's fidelity;
+# at 1 - 1e-5 the rows fall to 43,670, the sweeps to 791, and one set ends 6.8e-12 lower. Below
+# MERGE_MIN_DIM no start merges: on the d = 3 and 4 sets of the seed-1 corpus, merging lowered the
+# fidelity of 4 of the 66 sets, by 2e-12 to 3e-11.
+MERGE_EVERY = 5
+MERGE_OVERLAP = 0.9999
+MERGE_MIN_DIM = 5
 
 # Largest Phi stack, in bytes, that the see-saw may hold for one set.
 KERNEL_BYTE_BUDGET = 2**28
@@ -414,6 +435,58 @@ def _over_relaxed(
     return weights, directions, ~(empty | lost)
 
 
+def _merged(
+    weights: np.ndarray,
+    directions: np.ndarray,
+    where: Callable[[int], str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merge candidate of each start with more than d live outcomes.
+
+    A live outcome's leader is the first live outcome b of its start with
+    |<chi_a|chi_b>|^2 > MERGE_OVERLAP; an outcome that leads itself heads a
+    group, which every outcome led by it joins. Each group's summed element
+    sum_a m_a chi_a chi_a^dagger is replaced by its top eigenpair on the
+    head's row, its other outcomes get weight 0 and keep their directions,
+    and the start is made complete again by :func:`_completed`. Returns
+    (weights, directions, merged): the starts that merged nothing, or whose
+    candidate is not a measurement, keep their rows and have ``merged``
+    False.
+    """
+    dim = directions.shape[2]
+    merged = np.zeros(len(weights), dtype=bool)
+    wide = np.flatnonzero(np.count_nonzero(weights, axis=1) > dim)
+    if not wide.size:
+        return weights, directions, merged
+    live = weights[wide] > 0.0
+    vectors = directions[wide]
+    near = np.abs(vectors.conj() @ vectors.swapaxes(1, 2)) ** 2 > MERGE_OVERLAP
+    leader = (near & live[:, :, None] & live[:, None, :]).argmax(axis=2)
+    joins = live & (leader != np.arange(live.shape[1])) & (np.take_along_axis(leader, leader, axis=1) == leader)
+    some = joins.any(axis=1)
+    if not some.any():
+        return weights, directions, merged
+    at, live, vectors, leader, joins = wide[some], live[some], vectors[some], leader[some], joins[some]
+
+    head = np.zeros_like(joins)
+    start, row = np.nonzero(joins)
+    head[start, leader[start, row]] = True
+    start, row = np.nonzero(head)
+    group = live[start] & (leader[start] == row[:, None])
+    summed = (vectors[start].swapaxes(1, 2) * (weights[at][start] * group)[:, None, :]) @ vectors[start].conj()
+    vals, vecs = np.linalg.eigh(summed)
+    new_weights = np.where(joins, 0.0, weights[at])
+    new_weights[start, row] = vals[:, -1]
+    new_vectors = vectors.copy()
+    new_vectors[start, row] = vecs[:, :, -1]
+    new_weights, new_vectors, _, empty, lost = _completed(new_weights, new_vectors, vectors, lambda i: where(at[i]))
+
+    ok = ~(empty | lost)
+    merged[at[ok]] = True
+    weights, directions = weights.copy(), directions.copy()
+    weights[at[ok]], directions[at[ok]] = new_weights[ok], new_vectors[ok]
+    return weights, directions, merged
+
+
 def _see_saw_batch(
     ens: SignalEnsemble,
     weights: np.ndarray,
@@ -453,6 +526,18 @@ def _see_saw_batch(
     resend directions as warm-start guesses. A candidate that is not a
     measurement gives way to the plain step unscored.
 
+    Merging: at d >= MERGE_MIN_DIM, after every MERGE_EVERY-th sweep's step,
+    each start whose next point has more than d live outcomes has its
+    nearly coincident outcomes merged (see :func:`_merged`); a basis never
+    merges. The merged point is scored by the next sweep as a candidate: it
+    is accepted if its fidelity is at least the accepted one. Rejected, it
+    gives way to the plain step from the accepted measurement and leaves
+    omega and the last gain as they were, unless it rode on a weight
+    candidate, which the omega rule then resets. Accepted, it is booked as a
+    plain step that cannot stop the start. At the same sweep the outcome
+    axis is compacted: each start keeps, in order, the rows live at its
+    accepted or next point, padded with dead rows to the widest start.
+
     A start stops when a plain step gains less than ``convergence_eps`` or
     after ``max_iters`` sweeps. Every sweep counts, rejected candidates
     included, so a start's sweeps count its top-eigenpair evaluations. Its
@@ -462,9 +547,9 @@ def _see_saw_batch(
     monotone ascent and any violation signals a numerical bug.
 
     ``weights`` is (B, K) and ``directions`` (B, K, d). An outcome of weight
-    0 is padding or pruned: it adds nothing to the fidelity, the update
-    operator or completeness, and keeps its last direction so that no 0/0
-    enters Phi. A start leaves the active set at its own stopping rule, and
+    0 is padding, pruned or merged away: it adds nothing to the fidelity,
+    the update operator or completeness, and keeps its last direction so
+    that no 0/0 enters Phi. A start leaves the active set at its own stopping rule, and
     every operation acts on each start's rows alone, so each start follows
     the trajectory and sweep count it would follow on its own. Every check
     is made per start, and its error names the start and the sweep. The
@@ -475,9 +560,11 @@ def _see_saw_batch(
     rows only; a dead row keeps its last, finite, resend direction. At
     sweep 1 each row's own measurement direction is the guess of its top
     eigenpair, which is exact on a 2-design such as a complete set of
-    unbiased bases, where Phi(chi) = (chi chi^dagger + I)/(N d). From sweep
-    2 on, at d >= linalg.WARM_MIN_DIM, each live row's resend direction at
-    the accepted point is the guess.
+    unbiased bases, where Phi(chi) = (chi chi^dagger + I)/(N d); a guess
+    that misses goes straight to eigh, with no Rayleigh step, since on a
+    random start it is far from the top eigenvector. From sweep 2 on, at
+    d >= linalg.WARM_MIN_DIM, each live row's resend direction at the
+    accepted point is the guess.
 
     ``upper`` is a cap on the fidelity of every strategy. The whole batch
     stops after the first sweep whose best value is within GAP_TOL of it:
@@ -495,23 +582,24 @@ def _see_saw_batch(
     # per start: omega > 1 when the next sweep scores a candidate, and the last accepted gain
     omega = [1.0] * n_starts
     last_gain = [math.inf] * n_starts
+    # per start: the next sweep scores a merge candidate
+    merging = [False] * n_starts
 
     def where(i: int) -> str:
         return f"start {ids[i]}, sweep {sweep}"
 
     for sweep in range(1, config.max_iters + 1):
         live = weights > 0.0
-        if kept_value is None:
-            guess = directions
-        else:
-            guess = kept_eta if dim >= linalg.WARM_MIN_DIM else None
+        # at sweep 1 a guess is the row's own direction: exact on a 2-design, far off on a random start
+        guess = directions if kept_value is None else kept_eta if dim >= linalg.WARM_MIN_DIM else None
+        steps = kept_value is not None
         if dim >= GATHER_MIN_DIM and not live.all():
             phi = _phi_batch(ens, _signal_overlaps(ens, directions[live]))
             lam, eta = np.zeros(weights.shape), kept_eta.copy()
-            lam[live], eta[live] = linalg.batched_top_eig(phi, None if guess is None else guess[live])
+            lam[live], eta[live] = linalg.batched_top_eig(phi, None if guess is None else guess[live], _steps=steps)
         else:
             phi = _phi_batch(ens, _signal_overlaps(ens, directions))
-            lam, eta = linalg.batched_top_eig(phi, guess)
+            lam, eta = linalg.batched_top_eig(phi, guess, _steps=steps)
         value = np.einsum("sa,sa->s", weights, lam)
 
         # the starting point is taken as it is; later, a plain step always, a candidate if F did not fall
@@ -524,21 +612,29 @@ def _see_saw_batch(
                     omega[i] = min(OMEGA_GROWTH * omega[i], OMEGA_MAX) if grows else 1.0
                     last_gain[i] = gain if take[i] else 0.0
                     continue
-                if gain < -MONOTONE_TOL:
+                if merging[i]:
+                    # a merged plain step: rejected, it leaves the start as it was; accepted, it cannot stop it
+                    take[i] = gain >= 0.0
+                    if not take[i]:
+                        continue
+                elif gain < -MONOTONE_TOL:
                     raise NonMonotoneError(
                         f"fidelity fell from {float(kept_value[i])!r} to {float(value[i])!r} ({where(i)})"
                     )
-                done[i] = gain < config.convergence_eps
+                else:
+                    done[i] = gain < config.convergence_eps
                 if gain >= SLOW_GAIN_RATIO * last_gain[i]:
                     omega[i] = min(OMEGA_GROWTH, OMEGA_MAX)
                 last_gain[i] = gain
         better = value > best_value[ids]
         if better.any():
             at = ids[better]
+            width = weights.shape[1]
             best_value[at] = value[better]
-            best_weights[at] = weights[better]
-            best_directions[at] = directions[better]
-            best_eta[at] = eta[better]
+            best_weights[at] = 0.0
+            best_weights[at, :width] = weights[better]
+            best_directions[at, :width] = directions[better]
+            best_eta[at, :width] = eta[better]
         if all(take):
             kept_weights, kept_directions, kept_eta, kept_value = weights, directions, eta, value
         else:
@@ -586,6 +682,19 @@ def _see_saw_batch(
                 relaxed[fell] = False
             # a candidate or a stretch that is not a measurement gave way to the plain step, unscored
             omega = [w if r else 1.0 for w, r in zip(omega, relaxed.tolist())]
+        merging = [False] * len(ids)
+        if dim >= MERGE_MIN_DIM and sweep % MERGE_EVERY == 0:
+            weights, directions, merged = _merged(weights, directions, where)
+            merging = merged.tolist()
+            # the outcome axis keeps, in order, each start's rows that are live at its accepted or next point
+            used = (weights > 0.0) | (kept_weights > 0.0)
+            width = int(np.count_nonzero(used, axis=1).max())
+            if width < weights.shape[1]:
+                order = np.argsort(~used, axis=1, kind="stable")[:, :width]
+                weights, kept_weights = (np.take_along_axis(a, order, axis=1) for a in (weights, kept_weights))
+                directions, kept_directions, kept_eta = (
+                    np.take_along_axis(a, order[..., None], axis=1) for a in (directions, kept_directions, kept_eta)
+                )
 
     trace = np.full((len(history), n_starts), np.nan)
     for row, (active, values) in zip(trace, history):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from qincompat import InputFormatError, QincompatError, mub_bases
-from qincompat.errors import ConvergenceError, DegenerateSpectrumError
+from qincompat.errors import ConvergenceError, DegenerateSpectrumError, NotHermitianError
 from qincompat.documents import (
     basis_document,
     dumps,
@@ -139,13 +139,30 @@ class TestParseObservableSet:
         ids=["non-hermitian-1e160", "non-hermitian-1e200", "non-hermitian-1e308", "hermitian-1e308"],
     )
     def test_rejects_entries_whose_norm_overflows(self, matrix):
-        # ||H||_F^2 overflows, so a relative Hermiticity test would pass any asymmetry
+        # ||H||_F^2 overflows on each; ||H||_F overflows only on the last, and an overflowing norm would let
+        # a relative Hermiticity test pass any asymmetry. The others are bounded by that test, and fail it.
         doc = basis_document(mub_bases(2, 1))
         doc["items"].append(observable_item(matrix))
+        if matrix[1][0] == 0.0:
+            with pytest.raises(InputFormatError, match=r"^items\[1\]\.matrix: not Hermitian within 1e-09$"):
+                parse_observable_set(doc)
+            with pytest.raises(NotHermitianError, match=r"deviates from Hermitian by 1\.414e\+"):
+                eigenbasis_of(np.array(matrix))
+            return
         with pytest.raises(InputFormatError, match=r"^items\[1\]\.matrix: entries too large"):
             parse_observable_set(doc)
         with pytest.raises(ValueError, match="overflows"):
             eigenbasis_of(np.array(matrix))
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e308])
+    def test_accepts_huge_entries_whose_norm_is_finite(self, scale):
+        # ||H||_F^2 overflows, ||H||_F does not: the eigenbasis is the standard one
+        matrix = [[scale, 0.0], [0.0, -scale]]
+        np.testing.assert_array_equal(eigenbasis_of(np.array(matrix)).vectors, np.eye(2))
+        doc = basis_document(mub_bases(2, 1))
+        doc["items"][0] = observable_item(matrix)
+        [member] = parse_observable_set(doc).members
+        np.testing.assert_array_equal(member.vectors, np.eye(2))
 
     @pytest.mark.parametrize("scale", [1e80, 1e160, 1e308])
     def test_rejects_huge_basis_vectors(self, scale):

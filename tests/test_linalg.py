@@ -20,6 +20,31 @@ def reconstruct(values, vectors):
     return (vectors * values) @ vectors.conj().T
 
 
+class TestFrobeniusNorms:
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 3.7, 1e5, 1e150])
+    def test_keeps_the_bits_of_the_unscaled_sum(self, scale):
+        rng = np.random.default_rng(2)
+        stack = scale * (rng.standard_normal((3, 5, 4, 4)) + 1j * rng.standard_normal((3, 5, 4, 4)))
+        unscaled = np.sqrt((stack * stack.conj()).real.sum(axis=(-2, -1)))
+        np.testing.assert_array_equal(linalg.frobenius_norms(stack), unscaled)
+
+    def test_overflows_only_where_the_norm_does(self):
+        stack = np.array([
+            [[1e154, 0.0], [0.0, -1e154]],
+            [[1e308, 0.0], [0.0, 0.0]],
+            [[1e308, 1e308], [1e308, -1e308]],
+            [[0.0, 0.0], [0.0, 0.0]],
+        ])
+        norms = linalg.frobenius_norms(stack)
+        assert norms[0] == pytest.approx(np.sqrt(2.0) * 1e154, rel=1e-15)
+        assert norms[1] == 1e308
+        assert norms[2] == np.inf
+        assert norms[3] == 0.0
+        # an infinite entry gives an infinite norm, not NaN, so a check of the norm still fails
+        with np.errstate(invalid="ignore"):
+            assert linalg.frobenius_norms(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)) == np.inf
+
+
 class TestHermEig:
     def test_identity(self):
         values, _ = herm_eig(np.eye(3, dtype=complex))
@@ -338,6 +363,21 @@ class TestWarmTopEig:
         np.testing.assert_array_equal(lam[3:], vals[3:, -1])
         np.testing.assert_array_equal(eta[3:], vecs[3:, :, -1])
         np.testing.assert_array_equal(eta[:3], vecs[:3, :, -1])
+
+    def test_without_steps_a_missed_guess_goes_straight_to_eigh(self, eigh_rows, monkeypatch):
+        # the see-saw's sweep-1 call: exact guesses are served, the others get eigh's bits and no step
+        rng = np.random.default_rng(16)
+        matrices = random_psd_stack(10, self.DIM, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        guess = vecs[:, :, -1].copy()
+        guess[4:] = near(vecs[4:, :, -1], 1e-4, rng)
+        monkeypatch.setattr(linalg, "_rayleigh_step", None)
+        eigh_rows.clear()
+        lam, eta = linalg.batched_top_eig(matrices, guess, _steps=False)
+        assert eigh_rows == [6]
+        np.testing.assert_array_equal(eta[:4], vecs[:4, :, -1])
+        np.testing.assert_array_equal(lam[4:], vals[4:, -1])
+        np.testing.assert_array_equal(eta[4:], vecs[4:, :, -1])
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_served_rows_are_within_the_certificate(self, dim, monkeypatch):

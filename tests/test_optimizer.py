@@ -49,9 +49,18 @@ def reference_see_saw(ens, initial, config):
     its fidelity is at least the accepted one; a rejected candidate gives way
     to the plain step from the accepted point with omega reset to 1, and so
     does a candidate that is not a measurement. Omega leaves 1 after a plain
-    step that gains at least 0.9 times the last accepted gain. Returns
-    (fidelity, sweeps, outcomes of the best point, the sweeps that rejected
-    a weight candidate).
+    step that gains at least 0.9 times the last accepted gain.
+
+    From d = MERGE_MIN_DIM on, every MERGE_EVERY sweeps a next point with
+    more than d outcomes has its nearly coincident outcomes merged: each
+    outcome's leader is the first outcome whose direction overlaps it by
+    more than MERGE_OVERLAP, a leader that leads itself takes the top
+    eigenpair of its group's summed element and its group's other outcomes
+    are dropped, and the result is completed by W^(-1/2). The merged point
+    is scored as a candidate; rejected, it leaves the start as it was, and
+    accepted with omega at 1, it is booked as a plain step that cannot stop
+    the start. Returns (fidelity, sweeps, outcomes of the best point, the
+    sweeps that rejected a weight candidate, the sweeps that scored a merge).
     """
     kets = ens.kets
     stack = ens.state_projectors
@@ -96,12 +105,32 @@ def reference_see_saw(ens, initial, config):
         step = pruned(tilted, plain_directions @ inverse_root(frame).T, factor)
         return None if step is None else step[:2]
 
+    def merged(weights, directions):
+        overlap = np.abs(directions.conj() @ directions.T) ** 2
+        leader = [int(np.flatnonzero(row > optimizer.MERGE_OVERLAP)[0]) for row in overlap]
+        new_weights, new_directions = [], []
+        for a, head in enumerate(leader):
+            if head != a and leader[head] == head:
+                continue  # joined its head's group
+            group = [b for b, lead in enumerate(leader) if lead == a] if head == a else [a]
+            summed = sum(weights[b] * np.outer(directions[b], directions[b].conj()) for b in group)
+            vals, vecs = np.linalg.eigh(summed)
+            single = len(group) == 1
+            new_weights.append(weights[a] if single else vals[-1])
+            new_directions.append(directions[a] if single else vecs[:, -1])
+        if len(new_weights) == len(weights):
+            return None
+        new_weights, new_directions = np.array(new_weights), np.array(new_directions)
+        frame = np.einsum("a,ai,aj->ij", new_weights, new_directions, new_directions.conj())
+        step = pruned(new_weights, new_directions @ inverse_root(frame).T, new_weights)
+        return None if step is None else step[:2]
+
     weights = initial.weights.copy()
     directions = initial.directions.copy()
     best_value, best_outcomes = -np.inf, 0
     kept = None
     omega, last_gain = 1.0, np.inf
-    sweeps, tilted, rejected = 0, False, []
+    sweeps, tilted, merging, rejected, merges = 0, False, False, [], []
     for sweep in range(1, config.max_iters + 1):
         sweeps = sweep
         vals, vecs = np.linalg.eigh(phi(directions))
@@ -109,25 +138,29 @@ def reference_see_saw(ens, initial, config):
         value = float(weights @ vals[:, -1])
         if value > best_value:
             best_value, best_outcomes = value, weights.shape[0]
-        relaxed, take, gain = omega > 1.0, True, np.inf
+        relaxed, take, gain = omega > 1.0 or merging, True, np.inf
+        if merging:
+            merges.append(sweep)
         if kept is not None:
             gain = value - kept[3]
-            if relaxed:
+            if omega > 1.0:
                 take = gain >= 0.0
                 if tilted and not take:
                     rejected.append(sweep)
                 omega = min(1.5 * omega, 50.0) if take and gain >= config.convergence_eps else 1.0
                 last_gain = gain if take else 0.0
-            else:
+            elif not merging or gain >= 0.0:
                 assert gain >= -1e-12
                 if gain >= 0.9 * last_gain:
                     omega = 1.5
                 last_gain = gain
+            else:
+                take = False
         if take:
             kept = (weights, directions, eta, value)
         if sweep == config.max_iters or (not relaxed and gain < config.convergence_eps):
             break
-        tilted = False
+        tilted = merging = False
         stretched = plain_step(*kept[:3], omega) if omega > 1.0 and len(kept[0]) == ens.dim else None
         if stretched is not None:
             weights, directions = stretched[:2]
@@ -140,7 +173,12 @@ def reference_see_saw(ens, initial, config):
         else:
             weights, directions = over
             tilted = True
-    return best_value, sweeps, best_outcomes, rejected
+        if ens.dim >= optimizer.MERGE_MIN_DIM and sweep % optimizer.MERGE_EVERY == 0 and len(weights) > ens.dim:
+            merge = merged(weights, directions)
+            if merge is not None:
+                weights, directions = merge
+                merging = True
+    return best_value, sweeps, best_outcomes, rejected, merges
 
 
 def search_starts(ens, config):
@@ -329,12 +367,12 @@ class TestBatchedKernel:
         to_eigh, inside = [], []
         warm_top_eig, eigh_top = linalg._warm_top_eig, linalg._eigh_top
 
-        def counted(matrices, guess):
+        def counted(matrices, guess, steps):
             inside.append(matrices.shape[-1] >= linalg.WARM_MIN_DIM)
             if inside[-1]:
                 to_eigh.append(0)
             try:
-                return warm_top_eig(matrices, guess)
+                return warm_top_eig(matrices, guess, steps)
             finally:
                 inside.pop()
 
@@ -345,14 +383,14 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(linalg, "_warm_top_eig", counted)
         monkeypatch.setattr(linalg, "_eigh_top", counted_eigh)
-        rejections = 0
+        rejections = merges = 0
         for ens in self.ensembles():
             search = optimal_fidelity(ens, self.CONFIG)
             starts = search_starts(ens, self.CONFIG)
             assert len(search.start_sweeps) == len(starts)
             assert search.iterations == sum(search.start_sweeps)
             for index, start in enumerate(starts):
-                value, sweeps, _, rejected = reference_see_saw(ens, start, self.CONFIG)
+                value, sweeps, _, rejected, merged = reference_see_saw(ens, start, self.CONFIG)
                 alone = see_saw(ens, start, self.CONFIG)
                 assert search.start_sweeps[index] == sweeps == alone.iterations
                 assert abs(search.restart_trace[index] - value) <= 1e-12
@@ -364,9 +402,22 @@ class TestBatchedKernel:
                     assert alone.traces[0][sweep - 1] == alone.traces[0][sweep - 2]
                     assert search.traces[index][sweep - 1] == search.traces[index][sweep - 2]
                 rejections += len(rejected)
+                merges += len(merged)
         assert rejections > 0
+        # the random starts of the d = 5 and 6 sets merge outcomes
+        assert merges > 0
         # every row of most warm calls is served by its guess or its steps
         assert sum(rows == 0 for rows in to_eigh) > 100
+
+    def test_sweep_one_takes_no_rayleigh_step(self, monkeypatch):
+        # at sweep 1 a row's guess is its own measurement direction: exact on a 2-design, far off on a
+        # random start, so a guess that misses goes straight to eigh
+        from qincompat import linalg
+
+        monkeypatch.setattr(linalg, "_rayleigh_step", None)
+        ens = random_ensemble(7, 2, np.random.default_rng(9))
+        search = optimal_fidelity(ens, OptimizerConfig(restarts=2, seed=0, max_iters=1))
+        assert search.start_sweeps == (1,) * 4
 
     def test_pruned_start_matches_reference(self):
         # a projective start plus one outcome of weight 1e-13, below the
@@ -381,7 +432,7 @@ class TestBatchedKernel:
             weights=np.array([1.0 - tiny, 1.0, 1.0, tiny]),
             directions=np.concatenate([ens.vectors[0], ens.vectors[0][:1]]),
         )
-        value, sweeps, left, _ = reference_see_saw(ens, start, config)
+        value, sweeps, left, _, _ = reference_see_saw(ens, start, config)
         assert left == 3 < start.n_outcomes
         alone = see_saw(ens, start, config)
         assert alone.iterations == sweeps
@@ -396,7 +447,7 @@ class TestBatchedKernel:
         runs = _see_saw_batch(ens, weights, directions, config)
         assert runs.sweeps[0] == sweeps
         assert abs(runs.fidelity[0] - value) <= 1e-12
-        mate_value, mate_sweeps, _, _ = reference_see_saw(ens, mate, config)
+        mate_value, mate_sweeps, _, _, _ = reference_see_saw(ens, mate, config)
         assert runs.sweeps[1] == mate_sweeps
         assert abs(runs.fidelity[1] - mate_value) <= 1e-12
 
@@ -510,6 +561,79 @@ class TestBasisStretch:
         assert search.start_sweeps == self.PLAIN_BASIS_SWEEPS + self.RANDOM_SWEEPS
         for value, plain_value in zip(search.restart_trace, self.PLAIN_BASIS_FIDELITY):
             assert abs(value - plain_value) <= 1e-12
+
+
+class TestOutcomeMerge:
+    """Every MERGE_EVERY sweeps a start with more than d outcomes scores its nearly coincident outcomes merged."""
+
+    @staticmethod
+    def ensemble():
+        return random_ensemble(6, 2, np.random.default_rng(8))
+
+    def test_a_merge_that_lowers_the_fidelity_is_rejected(self, monkeypatch):
+        # every merge candidate is swapped for the computational basis, far below the accepted point
+        merge, plain_step = optimizer._merged, optimizer._plain_step
+        merge_sweeps, steps = [], []
+
+        def lowered(weights, directions, where):
+            weights, directions, merged = merge(weights, directions, where)
+            if merged.any():
+                merge_sweeps.append(len(steps))
+                dim = directions.shape[2]
+                weights = np.where(merged[:, None], np.arange(weights.shape[1]) < dim, weights)
+                directions = directions.copy()
+                directions[merged, :dim] = np.eye(dim)
+            return weights, directions, merged
+
+        def recorded(ens, weights, directions, eta, *args):
+            live = weights[0] > 0.0
+            steps.append((weights[0, live], directions[0, live], eta[0, live]))
+            return plain_step(ens, weights, directions, eta, *args)
+
+        monkeypatch.setattr(optimizer, "_merged", lowered)
+        monkeypatch.setattr(optimizer, "_plain_step", recorded)
+        ens = self.ensemble()
+        start = search_starts(ens, FAST)[-1]
+        alone = see_saw(ens, start, FAST)
+        assert merge_sweeps and all(sweep % optimizer.MERGE_EVERY == 0 for sweep in merge_sweeps)
+        trace = alone.traces[0]
+        assert np.all(np.diff(trace) >= 0.0)
+        for sweep in merge_sweeps:
+            # sweep + 1 scored the merge: the accepted fidelity stays where it was, and the step after
+            # it starts again from the outcomes accepted at sweep `sweep`
+            assert trace[sweep] == trace[sweep - 1]
+            for before, after in zip(steps[sweep - 1], steps[sweep]):
+                np.testing.assert_array_equal(before, after)
+        assert alone.povm.n_outcomes > ens.dim
+
+    def test_random_start_at_d8_reports_fewer_than_d2_outcomes(self):
+        rng = np.random.default_rng(1)
+        report = incompatibility(ObservableSet(tuple(random_basis(8, rng, f"r{i}") for i in range(2))), FAST)
+        # a random start beats both basis starts by far more than TIE_TOL, so its strategy is reported
+        assert max(report.restart_trace[2:]) - max(report.restart_trace[:2]) > 1e-3
+        assert 8 < report.best_povm.n_outcomes < 64
+
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_basis_starts_and_qubit_sets_never_merge(self, monkeypatch, dim):
+        merge = optimizer._merged
+        merged_outcomes = []
+
+        def recorded(weights, directions, where):
+            result = merge(weights, directions, where)
+            merged_outcomes.extend(np.count_nonzero(weights[result[2]], axis=1).tolist())
+            return result
+
+        monkeypatch.setattr(optimizer, "_merged", recorded)
+        ens = random_ensemble(dim, 2, np.random.default_rng(dim))
+        for basis in ens.vectors:
+            see_saw(ens, projective_povm(Eigenbasis(basis)), FAST)
+        assert merged_outcomes == []
+        optimal_fidelity(ens, FAST)
+        if dim == 2:
+            assert merged_outcomes == []
+        else:
+            # only random starts, which have more than d live outcomes, merge
+            assert merged_outcomes and min(merged_outcomes) > dim
 
 
 class TestOptimalFidelity:
