@@ -34,26 +34,19 @@ def frobenius_norm(a: np.ndarray) -> float:
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a (..., d, d) stack.
 
-    A matrix whose sum of squares overflows is summed again scaled by 2^-e,
-    with 2^e just above its largest |entry|, so that its norm overflows only
-    where the norm itself does. Scaling by a power of two is exact; the
-    other matrices keep the bits of the plain sum.
+    Each matrix is summed scaled by 2^-e, with 2^e just above its largest
+    real or imaginary part (not its largest |entry|, a hypot that may
+    overflow), and the root is scaled back, so a norm overflows or
+    underflows only where the norm itself does. Scaling by a power of two is
+    exact: an ordinary matrix gets the bits of its plain sum of squares.
     """
+    parts = np.ascontiguousarray(stack, dtype=complex).view(float)
+    _, exponent = np.frexp(np.abs(parts).max(axis=(-2, -1), initial=0.0))
+    # ldexp, not a product with 2^-e: that factor overflows for a matrix of subnormals
+    scaled = np.ldexp(parts, -exponent[..., None, None]).view(complex)
     # the imaginary parts of the products are not used, and may be inf - inf
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = (stack * stack.conj()).real.sum(axis=(-2, -1))
-    norms = np.sqrt(squares)
-    huge = np.isinf(squares)
-    if huge.any():
-        norms, big = np.array(norms), stack[huge]
-        _, exponent = np.frexp(np.maximum(np.abs(big.real), np.abs(big.imag)).max(axis=(-2, -1)))
-        factor = np.ldexp(1.0, -exponent)[:, None, None]
-        # the parts are scaled one by one: a complex product would turn an infinite entry into NaN
-        scaled = np.empty(big.shape, dtype=complex)
-        scaled.real, scaled.imag = big.real * factor, big.imag * factor
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms[huge] = np.ldexp(np.sqrt((scaled * scaled.conj()).real.sum(axis=(-2, -1))), exponent)
-    return norms
+        return np.ldexp(np.sqrt((scaled * scaled.conj()).real.sum(axis=(-2, -1))), exponent)
 
 
 def is_hermitian(a: np.ndarray) -> bool:

@@ -40,8 +40,11 @@ sweeps a start with more than d live outcomes scores a merge candidate: its
 outcomes whose directions nearly coincide are replaced by the top eigenpair
 of their summed element, and the result is made complete again. The
 candidate is kept only if the fidelity did not fall, so a merge never
-lowers a start's fidelity, and the merged-away outcomes cost no further
-eigenpairs or resend maps. Reported strategies shrink with their start.
+lowers a start's fidelity at the sweep that scores it, and the merged-away
+outcomes cost no further eigenpairs or resend maps. The start still stops
+where its own last gain falls below ``convergence_eps``, and that point
+can lie below where the unmerged start would have stopped. Reported
+strategies shrink with their start.
 See :func:`_see_saw_batch` for the rule.
 
 Reports are deterministic: restart r draws from a stream seeded by
@@ -112,7 +115,9 @@ SLOW_GAIN_RATIO = 0.9
 # rows from 114,284 to 38,024 and the lock-step sweeps from 811 to 706, and lowers no set's fidelity;
 # at 1 - 1e-5 the rows fall to 43,670, the sweeps to 791, and one set ends 6.8e-12 lower. Below
 # MERGE_MIN_DIM no start merges: on the d = 3 and 4 sets of the seed-1 corpus, merging lowered the
-# fidelity of 4 of the 66 sets, by 2e-12 to 3e-11.
+# fidelity of 4 of the 66 sets, by 2e-12 to 3e-11. That is stop noise, which a stop on the see-saw's
+# last gain cannot tell from a loss; the gate, and the unmerged path at d <= 4 with it, go once the
+# see-saw stops on a certified gap (ROADMAP item 10).
 MERGE_EVERY = 5
 MERGE_OVERLAP = 0.9999
 MERGE_MIN_DIM = 5

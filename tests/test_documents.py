@@ -164,6 +164,17 @@ class TestParseObservableSet:
         [member] = parse_observable_set(doc).members
         np.testing.assert_array_equal(member.vectors, np.eye(2))
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-300])
+    def test_names_the_asymmetry_of_tiny_entries(self, scale):
+        # the squares of the entries underflow; the scaled sum still sees the asymmetry, not a degenerate spectrum
+        matrix = [[scale, scale], [0.0, -scale]]
+        with pytest.raises(NotHermitianError, match=r"deviates from Hermitian by 1\.414e-"):
+            eigenbasis_of(np.array(matrix))
+        doc = basis_document(mub_bases(2, 1))
+        doc["items"].append(observable_item(matrix))
+        with pytest.raises(InputFormatError, match=r"^items\[1\]\.matrix: not Hermitian within 1e-09$"):
+            parse_observable_set(doc)
+
     @pytest.mark.parametrize("scale", [1e80, 1e160, 1e308])
     def test_rejects_huge_basis_vectors(self, scale):
         doc = {"dim": 2, "items": [{"type": "basis", "label": "huge", "vectors": to_pairs(scale * np.eye(2))}]}

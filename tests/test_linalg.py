@@ -28,18 +28,23 @@ class TestFrobeniusNorms:
         unscaled = np.sqrt((stack * stack.conj()).real.sum(axis=(-2, -1)))
         np.testing.assert_array_equal(linalg.frobenius_norms(stack), unscaled)
 
-    def test_overflows_only_where_the_norm_does(self):
+    def test_overflows_and_underflows_only_where_the_norm_does(self):
         stack = np.array([
             [[1e154, 0.0], [0.0, -1e154]],
             [[1e308, 0.0], [0.0, 0.0]],
             [[1e308, 1e308], [1e308, -1e308]],
             [[0.0, 0.0], [0.0, 0.0]],
+            [[1e-170, 1e-170], [0.0, -1e-170]],
+            [[5e-324, 0.0], [0.0, 0.0]],
         ])
         norms = linalg.frobenius_norms(stack)
         assert norms[0] == pytest.approx(np.sqrt(2.0) * 1e154, rel=1e-15)
         assert norms[1] == 1e308
         assert norms[2] == np.inf
         assert norms[3] == 0.0
+        # squares that underflow do not take the norm with them
+        assert norms[4] == pytest.approx(np.sqrt(3.0) * 1e-170, rel=1e-15)
+        assert norms[5] == 5e-324
         # an infinite entry gives an infinite norm, not NaN, so a check of the norm still fails
         with np.errstate(invalid="ignore"):
             assert linalg.frobenius_norms(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)) == np.inf
