@@ -19,6 +19,7 @@ import argparse
 import csv
 import functools
 import io
+import os
 import sys
 import time
 
@@ -265,8 +266,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _out_error(out: str) -> str | None:
+    """Why ``--out`` cannot be written, found without opening it (so nothing is created or truncated)."""
+    if os.path.isdir(out):
+        return f"--out {out} is a directory"
+    parent = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(parent):
+        return f"--out {out}: no directory {parent}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # checked before the command runs, so a search is not thrown away for want of a place to write it
+    problem = _out_error(args.out) if getattr(args, "out", None) else None
+    if problem:
+        sys.stderr.write(f"error: {problem}\n")
+        return VALIDATION_EXIT
     try:
         return args.func(args)
     except BoundViolationError as exc:

@@ -22,30 +22,28 @@ strategy. Closed-form bounds are checked as well:
   exactly, and the projective baseline attains them,
 * fidelity is at most the spectral cap.
 
-The measurement step is the fixed-point iteration of Jezek, Rehacek and
-Fiurasek (PRA 65, 060301(R), 2002), which converges linearly. Each start
-over-relaxes it adaptively (Salakhutdinov and Roweis, ICML 2003): once the
-plain step's gains shrink slowly, the start tries a candidate with a factor
-omega > 1, keeps it only if the fidelity did not fall, and otherwise takes
-the plain step with omega back at 1. A start with more than d outcomes
-raises the step's weight factors to the power omega. A basis (d outcomes of
-weight 1, which every projective start is) keeps its weights under that
-tilt, so it stretches the step's change of direction by omega instead. A
-start converges only on a plain step that gains less than
+All starts run in lock step (:func:`_see_saw_batch`). Their state is one
+record, :class:`_Batch`, with a row per active start: the kept point,
+omega, the last gain, the merge flag and the best point so far. Each sweep
+runs four phases on it: score (Phi build, top eigenpairs, value), accept,
+retire and step. The step is the fixed-point iteration of Jezek, Rehacek
+and Fiurasek (PRA 65, 060301(R), 2002), over-relaxed adaptively
+(Salakhutdinov and Roweis, ICML 2003): once the plain step's gains shrink
+slowly, a start tries a candidate with a factor omega > 1 and keeps it only
+if the fidelity did not fall. A start with more than d outcomes raises the
+step's weight factors to the power omega; a basis (d outcomes of weight 1,
+as every projective start is) stretches its change of direction by omega
+instead. A start converges only on a plain step that gains less than
 ``convergence_eps``.
 
 Random starts carry d^2 outcomes, while the optima they reach use far fewer
 distinct directions. From d = MERGE_MIN_DIM (5) on, every MERGE_EVERY (5)
-sweeps a start with more than d live outcomes scores a merge candidate: its
-outcomes whose directions nearly coincide are replaced by the top eigenpair
-of their summed element, and the result is made complete again. The
-candidate is kept only if the fidelity did not fall, so a merge never
-lowers a start's fidelity at the sweep that scores it, and the merged-away
-outcomes cost no further eigenpairs or resend maps. The start still stops
-where its own last gain falls below ``convergence_eps``, and that point
-can lie below where the unmerged start would have stopped. Reported
-strategies shrink with their start.
-See :func:`_see_saw_batch` for the rule.
+sweeps a start with more than d live outcomes scores a candidate with its
+nearly coincident outcomes merged, kept only if the fidelity did not fall;
+the merged-away outcomes cost no further eigenpairs. The start still stops
+where its own last gain falls below ``convergence_eps``, which can lie below
+where the unmerged start would have stopped. Reported strategies shrink
+with their start.
 
 Reports are deterministic: restart r draws from a stream seeded by
 (config.seed, r), so identical configurations give identical output.
@@ -53,7 +51,7 @@ Reports are deterministic: restart r draws from a stream seeded by
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import numbers
 from collections.abc import Callable
@@ -98,26 +96,17 @@ from .tolerances import (
 # gathering the live outcomes around it.
 GATHER_MIN_DIM = 3
 
-# Adaptive over-relaxation of the measurement step (see _see_saw_batch), by
-# weight tilt or, for a basis, by direction stretch. Each accepted candidate
-# multiplies a start's factor omega by OMEGA_GROWTH, up to OMEGA_MAX; a
-# rejected one resets it to 1. Omega leaves 1 after a plain step that gains
-# at least SLOW_GAIN_RATIO times the start's last accepted gain: on starts
-# whose gains shrink faster, a candidate costs a sweep's update twice over
-# and saves no sweeps.
+# Adaptive over-relaxation of the measurement step (see _accept and _step). Omega leaves 1 after a plain
+# step that gains at least SLOW_GAIN_RATIO times the start's last accepted gain: on starts whose gains
+# shrink faster, a candidate costs a sweep's update twice over and saves no sweeps.
 OMEGA_GROWTH = 1.5
 OMEGA_MAX = 50.0
 SLOW_GAIN_RATIO = 0.9
 
-# Outcome merging (see _merged). Every MERGE_EVERY sweeps, a start with more than d live outcomes
-# scores a candidate whose outcomes with |<chi_a|chi_b>|^2 > MERGE_OVERLAP are merged. On the d = 6-8
-# random sets of the seed-1 benchmark corpus, merging every 5 sweeps at 1 - 1e-4 cuts the top-eigenpair
-# rows from 114,284 to 38,024 and the lock-step sweeps from 811 to 706, and lowers no set's fidelity;
-# at 1 - 1e-5 the rows fall to 43,670, the sweeps to 791, and one set ends 6.8e-12 lower. Below
-# MERGE_MIN_DIM no start merges: on the d = 3 and 4 sets of the seed-1 corpus, merging lowered the
-# fidelity of 4 of the 66 sets, by 2e-12 to 3e-11. That is stop noise, which a stop on the see-saw's
-# last gain cannot tell from a loss; the gate, and the unmerged path at d <= 4 with it, go once the
-# see-saw stops on a certified gap (ROADMAP item 10).
+# Outcome merging (see _merged). Merging every 5 sweeps at 1 - 1e-4 cut the top-eigenpair rows of the d = 6-8
+# random sets of the seed-1 benchmark corpus from 114,284 to 38,024, and lowered no set's fidelity. Below
+# MERGE_MIN_DIM no start merges: on the d = 3 and 4 sets it lowered 4 of 66 by 2e-12 to 3e-11, stop noise
+# that a stop on the last gain cannot tell from a loss; the gate goes with a certified stop (ROADMAP item 10).
 MERGE_EVERY = 5
 MERGE_OVERLAP = 0.9999
 MERGE_MIN_DIM = 5
@@ -297,6 +286,19 @@ def spectral_cap(ens: SignalEnsemble) -> float:
     return top * (1.0 + SPECTRAL_CAP_SLACK * dim * dim) / ens.n_bases
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """The d x d identity that completeness is checked against, built once per d and read-only."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
+def _norms(x: np.ndarray, axis: int | tuple[int, int]) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` by numpy's own formula, without its argument handling: the same bits."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
 def _pinv_sqrt(matrices: np.ndarray, where: Callable[[int], str] | None = None) -> np.ndarray:
     """Pseudo-inverse square root of PSD matrices (..., d, d) on their numerical support.
 
@@ -305,12 +307,14 @@ def _pinv_sqrt(matrices: np.ndarray, where: Callable[[int], str] | None = None) 
     """
     vals, vecs = np.linalg.eigh(matrices)
     top = vals[..., -1:]
-    singular = np.flatnonzero(top <= 0.0)
-    if singular.size:
-        context = f" ({where(int(singular[0]))})" if where else ""
-        raise SingularUpdateError(f"measurement update operator has numerical rank 0{context}")
     mask = vals > PINV_CUTOFF * top
-    inv = np.where(mask, 1.0 / np.sqrt(np.where(mask, vals, 1.0)), 0.0)
+    if mask.all():  # no eigenvalue is cut, so no matrix is singular: every full-rank frame
+        inv = 1.0 / np.sqrt(vals)
+    else:
+        if (top <= 0.0).any():
+            context = f" ({where(int(np.flatnonzero(top <= 0.0)[0]))})" if where else ""
+            raise SingularUpdateError(f"measurement update operator has numerical rank 0{context}")
+        inv = np.where(mask, 1.0 / np.sqrt(np.where(mask, vals, 1.0)), 0.0)
     return (vecs * inv[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -328,13 +332,12 @@ class _Runs(NamedTuple):
 def _rescaled(weights: np.ndarray, moved: np.ndarray, fallback: np.ndarray):
     """Elements ``weights_a * |moved_a><moved_a|`` as unit directions and weights, pruned and checked.
 
-    An outcome whose new weight falls below WEIGHT_PRUNE_EPS gets weight 0
-    and its ``fallback`` direction. Returns (weights, directions, factors,
-    empty, lost): ``factors`` holds |moved_a|^2, ``empty`` marks the starts
-    with no outcome left and ``lost`` those whose elements miss the identity
-    by more than COMPLETENESS_TOL.
+    An outcome whose new weight falls below WEIGHT_PRUNE_EPS gets weight 0 and its ``fallback``
+    direction. Returns (weights, directions, factors, empty, lost): ``factors`` holds |moved_a|^2,
+    ``empty`` marks the starts with no outcome left and ``lost`` those whose elements miss the
+    identity by more than COMPLETENESS_TOL.
     """
-    norms = np.linalg.norm(moved, axis=2)
+    norms = _norms(moved, 2)
     factors = norms**2
     weights = weights * factors
     keep = weights >= WEIGHT_PRUNE_EPS
@@ -342,61 +345,56 @@ def _rescaled(weights: np.ndarray, moved: np.ndarray, fallback: np.ndarray):
     weights = np.where(keep, weights, 0.0)
     directions = np.where(keep[..., None], moved / np.where(keep, norms, 1.0)[..., None], fallback)
     resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
-    lost = np.linalg.norm(resolution - np.eye(moved.shape[2]), axis=(1, 2)) > COMPLETENESS_TOL
+    lost = _norms(resolution - _identity(moved.shape[2]), (1, 2)) > COMPLETENESS_TOL
     return weights, directions, factors, empty, lost
 
 
 def _stretched(pulled: np.ndarray, directions: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Pulled vectors G_a chi_a of each start with their part off chi_a stretched by its omega.
+    """Pulled vectors G_a chi_a with their part off chi_a stretched by each start's omega.
 
-    Written as G_a chi_a + (omega - 1) * (off part), so that a start with
-    omega 1 keeps its vectors bit for bit.
+    Written as G_a chi_a + (omega - 1) * (off part): at omega 1 the vectors keep their bits.
     """
     off = pulled - np.einsum("sai,sai->sa", directions.conj(), pulled)[..., None] * directions
     return pulled + (omega - 1.0)[:, None, None] * off
 
 
 def _completed(
-    weights: np.ndarray,
-    vectors: np.ndarray,
-    fallback: np.ndarray,
-    where: Callable[[int], str] | None = None,
+    weights: np.ndarray, vectors: np.ndarray, fallback: np.ndarray, where: Callable[[int], str] | None = None
 ):
     """Elements ``weights_a * |v_a><v_a|`` made complete by S^(-1/2), S = sum_a weights_a v_a v_a^dagger.
 
     S^(-1/2) is taken on the support of S, ``where`` naming a singular S as
-    in :func:`_pinv_sqrt`. The result is pruned and checked by
-    :func:`_rescaled`, whose tuple it returns.
+    in :func:`_pinv_sqrt`; the result is pruned and checked by :func:`_rescaled`.
     """
     frame = (vectors.swapaxes(1, 2) * weights[:, None, :]) @ vectors.conj()
     return _rescaled(weights, vectors @ _pinv_sqrt(frame, where).swapaxes(1, 2), fallback)
 
 
 def _plain_step(
-    ens: SignalEnsemble,
-    weights: np.ndarray,
-    directions: np.ndarray,
-    eta: np.ndarray,
-    where: Callable[[int], str],
-    stretch: np.ndarray | None = None,
+    ens: SignalEnsemble, weights: np.ndarray, directions: np.ndarray, eta: np.ndarray, where: Callable[[int], str],
+    stretch: np.ndarray | None = None, rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The fixed-point measurement update of each start for its resend directions ``eta``.
 
     M_a <- L^(-1/2) G_a M_a G_a L^(-1/2) with G_a = Phi(eta_a) and
     L = sum_a G_a M_a G_a: the weight m_a becomes m_a s_a with
     s_a = |L^(-1/2) G_a chi_a|^2. A start whose ``stretch`` entry omega is
-    above 1 is a basis and takes the stretched step instead: each pulled
-    vector G_a chi_a keeps its part along chi_a and has its part off chi_a
-    stretched by omega before the same L^(-1/2) and checks. Returns the new
-    weights, directions, the factors s_a and the starts whose stretched step
-    failed its checks and gave way to the plain step. A start whose plain
-    step loses every outcome or completeness raises SingularUpdateError,
-    ``where(i)`` naming start i.
+    above 1 is a basis: its pulled vectors G_a chi_a have their part off
+    chi_a stretched by omega first. ``rows`` is this point's live-row gather
+    (mask, directions, eta), if built. Returns the new weights, directions,
+    the factors s_a and the starts whose stretch was not a measurement and
+    gave way to the plain step. A start whose plain step loses every
+    outcome or completeness raises SingularUpdateError, ``where(i)``
+    naming start i.
     """
-    live = weights > 0.0
-    if ens.dim >= GATHER_MIN_DIM and not live.all():
+    if rows is None and ens.dim >= GATHER_MIN_DIM:
+        live = weights > 0.0
+        if not live.all():
+            rows = live, directions[live], eta[live]
+    if rows is not None:
+        live, live_directions, live_eta = rows
         pulled = np.zeros_like(directions)
-        pulled[live] = (_phi_batch(ens, _signal_overlaps(ens, eta[live])) @ directions[live][..., None])[..., 0]
+        pulled[live] = (_phi_batch(ens, _signal_overlaps(ens, live_eta)) @ live_directions[..., None])[..., 0]
     else:
         pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ directions[..., None])[..., 0]
 
@@ -420,18 +418,15 @@ def _plain_step(
 
 
 def _over_relaxed(
-    plain_weights: np.ndarray,
-    plain_directions: np.ndarray,
-    factors: np.ndarray,
-    omega: np.ndarray,
+    plain_weights: np.ndarray, plain_directions: np.ndarray, factors: np.ndarray, omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The over-relaxed candidate of each start: the plain step's factors s_a raised to omega.
 
-    The candidate has weights m_a s_a^omega = m'_a s_a^(omega - 1) on the
-    plain step's directions chi'_a, made complete again by W^(-1/2) with
-    W = sum_a m_a s_a^omega chi'_a chi'_a^dagger, then pruned and checked as
-    the plain step is. Returns (weights, directions, ok); ``ok`` is False
-    for a start whose candidate lost every outcome or completeness.
+    Weights m_a s_a^omega = m'_a s_a^(omega - 1) on the plain step's
+    directions chi'_a, completed by W^(-1/2) with W = sum_a m_a s_a^omega
+    chi'_a chi'_a^dagger, and pruned and checked as the plain step is.
+    Returns (weights, directions, ok); ``ok`` is False where the candidate
+    lost every outcome or completeness.
     """
     factors = np.where(plain_weights > 0.0, factors, 0.0)
     # W^(-1/2) undoes a common scale, so s_a / max_b s_b keeps s_a^omega finite
@@ -441,21 +436,18 @@ def _over_relaxed(
 
 
 def _merged(
-    weights: np.ndarray,
-    directions: np.ndarray,
-    where: Callable[[int], str],
+    weights: np.ndarray, directions: np.ndarray, where: Callable[[int], str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The merge candidate of each start with more than d live outcomes.
 
     A live outcome's leader is the first live outcome b of its start with
     |<chi_a|chi_b>|^2 > MERGE_OVERLAP; an outcome that leads itself heads a
-    group, which every outcome led by it joins. Each group's summed element
-    sum_a m_a chi_a chi_a^dagger is replaced by its top eigenpair on the
-    head's row, its other outcomes get weight 0 and keep their directions,
-    and the start is made complete again by :func:`_completed`. Returns
-    (weights, directions, merged): the starts that merged nothing, or whose
-    candidate is not a measurement, keep their rows and have ``merged``
-    False.
+    group of the outcomes it leads. The group's summed element is replaced
+    by its top eigenpair on the head's row, its other outcomes get weight 0
+    and keep their directions, and :func:`_completed` makes the start
+    complete again. Returns (weights, directions, merged): a start that
+    merged nothing, or whose candidate is not a measurement, is unchanged
+    and has ``merged`` False.
     """
     dim = directions.shape[2]
     merged = np.zeros(len(weights), dtype=bool)
@@ -492,234 +484,246 @@ def _merged(
     return weights, directions, merged
 
 
+class _Batch:
+    """The state of a lock-step batch's active starts, one row per start, so that one mask retires a start.
+
+    ``ids`` is each row's start; ``weights``, ``directions``, ``eta`` and
+    ``value`` (None before sweep 1) are its kept point; ``omega``,
+    ``last_gain`` and ``merging`` steer its next candidate; ``best`` is its
+    best value. ``best_point``, unless None, is the scored point at which
+    every start last improved, held by reference until :meth:`write_out`.
+    """
+
+    ROWS = "ids", "weights", "directions", "eta", "value", "omega", "last_gain", "merging", "best"
+
+    def __init__(self, weights: np.ndarray, directions: np.ndarray):
+        n = len(weights)
+        self.ids, self.value = np.arange(n), None
+        self.weights, self.directions, self.eta = weights, directions, directions
+        self.omega, self.last_gain, self.merging = np.ones(n), np.full(n, math.inf), np.zeros(n, dtype=bool)
+        self.best, self.best_point = np.full(n, -math.inf), None
+
+    def keep_rows(self, rows: np.ndarray) -> None:
+        for name in self.ROWS:
+            setattr(self, name, getattr(self, name)[rows])
+
+    def take(self, taken: list[bool], weights, directions, eta, value) -> None:
+        """Make the scored point the kept one of every start that takes it."""
+        if all(taken):
+            self.weights, self.directions, self.eta, self.value = weights, directions, eta, value
+            return
+        take = np.array(taken)
+        self.weights = np.where(take[:, None], weights, self.weights)
+        self.directions = np.where(take[:, None, None], directions, self.directions)
+        self.eta = np.where(take[:, None, None], eta, self.eta)
+        self.value = np.where(take, value, self.value)
+
+    def hold_best(self, runs: _Runs, point: tuple[np.ndarray, np.ndarray, np.ndarray], value: np.ndarray) -> None:
+        """Hold ``point`` if it beats every start's best; else write out the held point and the rows that do."""
+        better = value > self.best
+        if better.all():
+            self.best, self.best_point = value, point
+        elif better.any():
+            self.write_out(runs)
+            _write(runs, self.ids[better], point, better)
+            self.best = np.where(better, value, self.best)
+
+    def write_out(self, runs: _Runs) -> None:
+        """Copy the held best point into the strategy arrays of ``runs``, and hold none."""
+        if self.best_point is not None:
+            _write(runs, self.ids, self.best_point, slice(None))
+            self.best_point = None
+
+
+def _write(runs: _Runs, ids: np.ndarray, point: tuple[np.ndarray, np.ndarray, np.ndarray], rows) -> None:
+    """Copy the ``rows`` of a point (weights, directions, eta) into the strategy arrays of starts ``ids``."""
+    weights, directions, eta = point
+    width = weights.shape[1]
+    runs.weights[ids] = 0.0
+    runs.weights[ids, :width] = weights[rows]
+    runs.directions[ids, :width] = directions[rows]
+    runs.eta[ids, :width] = eta[rows]
+
+
+def _score(ens: SignalEnsemble, weights: np.ndarray, directions: np.ndarray, batch: _Batch):
+    """Score phase: Phi(chi_a) of each live outcome, its top eigenpair, and each start's value.
+
+    The top eigenvector of d * Phi(chi_a) is the best resend direction eta_a, and the value is
+    sum_a m_a lambda_max. Returns (value, eta, rows). At d >= GATHER_MIN_DIM only live rows are
+    solved, a dead row keeps its kept resend direction, and ``rows`` is the live-row gather (mask,
+    directions, eta) for the plain step; otherwise None. At sweep 1 a row's guess is its own
+    direction: exact on a 2-design, far off on a random start, so a miss goes straight to eigh.
+    Later, at d >= linalg.WARM_MIN_DIM, the guess is the kept resend direction.
+    """
+    steps = batch.value is not None
+    guess = directions if not steps else batch.eta if ens.dim >= linalg.WARM_MIN_DIM else None
+    live = weights > 0.0
+    if ens.dim < GATHER_MIN_DIM or live.all():
+        lam, eta = linalg.batched_top_eig(_phi_batch(ens, _signal_overlaps(ens, directions)), guess, _steps=steps)
+        return np.einsum("sa,sa->s", weights, lam), eta, None
+    gathered = directions[live]
+    phi = _phi_batch(ens, _signal_overlaps(ens, gathered))
+    top, top_eta = linalg.batched_top_eig(phi, None if guess is None else guess[live], _steps=steps)
+    lam, eta = np.zeros(weights.shape), batch.eta.copy()
+    lam[live], eta[live] = top, top_eta
+    # a contiguous copy, as eta[live] is, so that the plain step's matmul does not depend on eigh's strides
+    return np.einsum("sa,sa->s", weights, lam), eta, (live, gathered, np.ascontiguousarray(top_eta))
+
+
+def _accept(batch: _Batch, value: np.ndarray, eps: float, where: Callable[[int], str]):
+    """Accept phase: whether each start takes its scored point and is done, as lists (take, done).
+
+    A candidate (omega > 1) or a merge is taken if the fidelity did not fall. A candidate then grows
+    omega OMEGA_GROWTH-fold, up to OMEGA_MAX, if it gained at least ``eps``, and resets it to 1
+    otherwise; rejected, it books a gain of 0. A rejected merge changes nothing. A plain step is
+    always taken, is done below a gain of ``eps``, and raises NonMonotoneError below -MONOTONE_TOL.
+    A taken plain step or merge that gains at least SLOW_GAIN_RATIO times the last gain sets omega
+    to OMEGA_GROWTH. A Python loop: on a few starts, a third of the array cost.
+    """
+    omega, last_gain, merging = batch.omega.tolist(), batch.last_gain.tolist(), batch.merging.tolist()
+    take, done = [True] * len(omega), [False] * len(omega)
+    for i, gain in enumerate((value - batch.value).tolist()):
+        if omega[i] > 1.0:
+            take[i] = gain >= 0.0
+            grows = take[i] and gain >= eps
+            omega[i] = min(OMEGA_GROWTH * omega[i], OMEGA_MAX) if grows else 1.0
+            last_gain[i] = gain if take[i] else 0.0
+            continue
+        if merging[i]:
+            take[i] = gain >= 0.0
+            if not take[i]:
+                continue
+        elif gain < -MONOTONE_TOL:
+            raise NonMonotoneError(
+                f"fidelity fell from {float(batch.value[i])!r} to {float(value[i])!r} ({where(i)})"
+            )
+        else:
+            done[i] = gain < eps
+        if gain >= SLOW_GAIN_RATIO * last_gain[i]:
+            omega[i] = min(OMEGA_GROWTH, OMEGA_MAX)
+        last_gain[i] = gain
+    batch.omega, batch.last_gain = np.array(omega), np.array(last_gain)
+    return take, done
+
+
+def _step(ens: SignalEnsemble, batch: _Batch, sweep: int, where: Callable[[int], str], rows):
+    """Step phase: the next point of each active start from its kept point, as (weights, directions).
+
+    The plain step of :func:`_plain_step`, or for a start with omega > 1 a candidate: a basis (d
+    outcomes, each of weight 1 under any tilt) stretches its change of direction by omega, any other
+    start takes the weights of :func:`_over_relaxed`. A candidate that is not a measurement gives way
+    to the plain step, unscored, and resets omega. ``rows`` is the score's live-row gather when it is
+    the kept point's. At d >= MERGE_MIN_DIM, every MERGE_EVERY sweeps, :func:`_merged` follows and the
+    outcome axis is compacted: each start keeps, in order, its rows live at its kept or next point.
+    A held best point keeps its own, older width.
+    """
+    dim, omega = ens.dim, batch.omega
+    relaxed = omega > 1.0
+    bases = stretch = None
+    if relaxed.any():
+        bases = relaxed & (np.count_nonzero(batch.weights, axis=1) == dim)
+        relaxed &= ~bases
+        stretch = np.where(bases, omega, 1.0) if bases.any() else None
+    weights, directions, factors, fell = _plain_step(
+        ens, batch.weights, batch.directions, batch.eta, where, stretch, rows
+    )
+    if bases is not None:
+        # the other relaxed starts take a weight candidate, unless their plain step pruned them to a basis
+        relaxed &= np.count_nonzero(weights, axis=1) > dim
+        if relaxed.any():
+            candidate_weights, candidate_directions, ok = _over_relaxed(weights, directions, factors, omega)
+            relaxed &= ok
+            weights = np.where(relaxed[:, None], candidate_weights, weights)
+            directions = np.where(relaxed[:, None, None], candidate_directions, directions)
+        relaxed |= bases
+        relaxed[fell] = False
+        batch.omega = np.where(relaxed, omega, 1.0)
+    if dim < MERGE_MIN_DIM or sweep % MERGE_EVERY:
+        batch.merging = np.zeros(len(weights), dtype=bool)
+        return weights, directions
+    weights, directions, batch.merging = _merged(weights, directions, where)
+    used = (weights > 0.0) | (batch.weights > 0.0)
+    width = int(np.count_nonzero(used, axis=1).max())
+    if width < weights.shape[1]:
+        order = np.argsort(~used, axis=1, kind="stable")[:, :width]
+        weights, batch.weights = (np.take_along_axis(a, order, axis=1) for a in (weights, batch.weights))
+        directions, batch.directions, batch.eta = (
+            np.take_along_axis(a, order[..., None], axis=1) for a in (directions, batch.directions, batch.eta)
+        )
+    return weights, directions
+
+
+def _retire(batch: _Batch, runs: _Runs, rows: np.ndarray | slice, sweep: int) -> None:
+    """Retire phase: write out the held best point, and book the sweeps and best value of the starts in ``rows``."""
+    batch.write_out(runs)
+    at = batch.ids[rows]
+    runs.sweeps[at] = sweep
+    runs.fidelity[at] = batch.best[rows]
+
+
 def _see_saw_batch(
-    ens: SignalEnsemble,
-    weights: np.ndarray,
-    directions: np.ndarray,
-    config: OptimizerConfig,
-    upper: float = math.inf,
+    ens: SignalEnsemble, weights: np.ndarray, directions: np.ndarray, config: OptimizerConfig, upper: float = math.inf
 ) -> _Runs:
     """Monotone alternating maximization of the average fidelity from B starts at once, in lock step.
 
-    Each sweep scores one measurement per start: it takes the exact best
-    reconstruction for it (top eigenvector of d * Phi(chi_a) per outcome)
-    and its fidelity, and accepts or rejects it. Then every start takes the
-    plain step from its accepted measurement: the fixed-point update
-    M_a <- L^(-1/2) G_a M_a G_a L^(-1/2), where G_a = Phi(sigma_a) and
-    L = sum_a G_a M_a G_a, taken on the support of L: direction
-    chi'_a ~ L^(-1/2) G_a chi_a and weight m_a s_a with
-    s_a = |L^(-1/2) G_a chi_a|^2. Rank-1 elements stay rank-1; outcomes
-    whose weight falls below WEIGHT_PRUNE_EPS are dropped and completeness
-    is re-verified to 1e-9.
+    The active starts share one :class:`_Batch` record, and each sweep runs four phases on it: score
+    (:func:`_score`) values each start's point under its best reconstruction, accept
+    (:func:`_accept`) takes or rejects it, retire (:func:`_retire`) writes out the starts that
+    stopped, and step (:func:`_step`) moves the others on. A start stops when a plain step gains
+    less than ``convergence_eps`` or after ``max_iters`` sweeps. Every sweep counts, rejected
+    candidates included. Its trace holds the accepted fidelity after each sweep. The whole batch
+    stops after the first sweep whose best value is within GAP_TOL of ``upper``, a cap on every
+    strategy. A start's best point is copied out only when it retires, the batch stops, or a sweep
+    improves some starts but not all.
 
-    The step is over-relaxed adaptively with a factor omega per start. The
-    first step is plain. After a plain step that gains at least
-    SLOW_GAIN_RATIO (0.9) times the last accepted gain, omega becomes 1.5
-    and the next sweep scores a candidate built on the plain step instead.
-    A start with more than d outcomes takes the weights m_a s_a^omega on the
-    directions chi'_a, made complete again by W^(-1/2) with
-    W = sum_a m_a s_a^omega chi'_a chi'_a^dagger, then pruned and checked
-    as the plain step is. A basis (d outcomes, each of weight 1) keeps
-    weight 1 under any tilt, so its candidate stretches the directions
-    instead: each pulled vector G_a chi_a keeps its part along chi_a, has
-    its part off chi_a stretched by omega, and goes through the same
-    L^(-1/2) and checks as the plain step. A candidate of either kind whose
-    fidelity is at least the accepted one is accepted and omega grows
-    1.5-fold, up to 50; one that gains less than ``convergence_eps`` resets
-    omega to 1. A rejected candidate of either kind gives way to the plain
-    step from the accepted measurement, with omega at 1 and the accepted
-    resend directions as warm-start guesses. A candidate that is not a
-    measurement gives way to the plain step unscored.
-
-    Merging: at d >= MERGE_MIN_DIM, after every MERGE_EVERY-th sweep's step,
-    each start whose next point has more than d live outcomes has its
-    nearly coincident outcomes merged (see :func:`_merged`); a basis never
-    merges. The merged point is scored by the next sweep as a candidate: it
-    is accepted if its fidelity is at least the accepted one. Rejected, it
-    gives way to the plain step from the accepted measurement and leaves
-    omega and the last gain as they were, unless it rode on a weight
-    candidate, which the omega rule then resets. Accepted, it is booked as a
-    plain step that cannot stop the start. At the same sweep the outcome
-    axis is compacted: each start keeps, in order, the rows live at its
-    accepted or next point, padded with dead rows to the widest start.
-
-    A start stops when a plain step gains less than ``convergence_eps`` or
-    after ``max_iters`` sweeps. Every sweep counts, rejected candidates
-    included, so a start's sweeps count its top-eigenpair evaluations. Its
-    trace holds the accepted fidelity after each sweep and is
-    non-decreasing to 1e-12 per sweep: a plain step that lowers the
-    fidelity by more raises NonMonotoneError, since the update guarantees
-    monotone ascent and any violation signals a numerical bug.
-
-    ``weights`` is (B, K) and ``directions`` (B, K, d). An outcome of weight
-    0 is padding, pruned or merged away: it adds nothing to the fidelity,
-    the update operator or completeness, and keeps its last direction so
-    that no 0/0 enters Phi. A start leaves the active set at its own stopping rule, and
-    every operation acts on each start's rows alone, so each start follows
-    the trajectory and sweep count it would follow on its own. Every check
-    is made per start, and its error names the start and the sweep. The
-    weight candidate is built only on sweeps where a start with more than d
-    outcomes has omega > 1.
-
-    Top eigenpairs and resend maps are computed for the live (weight > 0)
-    rows only; a dead row keeps its last, finite, resend direction. At
-    sweep 1 each row's own measurement direction is the guess of its top
-    eigenpair, which is exact on a 2-design such as a complete set of
-    unbiased bases, where Phi(chi) = (chi chi^dagger + I)/(N d); a guess
-    that misses goes straight to eigh, with no Rayleigh step, since on a
-    random start it is far from the top eigenvector. From sweep 2 on, at
-    d >= linalg.WARM_MIN_DIM, each live row's resend direction at the
-    accepted point is the guess.
-
-    ``upper`` is a cap on the fidelity of every strategy. The whole batch
-    stops after the first sweep whose best value is within GAP_TOL of it:
-    nothing is left to find. Every start has then run at least one sweep.
+    ``weights`` is (B, K) and ``directions`` (B, K, d). An outcome of weight 0 is padding, pruned or
+    merged away: it adds nothing to the fidelity, the update operator or completeness, and keeps its
+    last direction and resend direction, so that no 0/0 enters Phi. Every operation acts on each
+    start's rows alone, so each start follows the trajectory and sweep count it would follow on its
+    own. Every check is made per start, and its error names the start and the sweep.
     """
-    n_starts, dim = weights.shape[0], ens.dim
-    ids = np.arange(n_starts)
-    best_value = np.full(n_starts, -math.inf)
-    best_weights = weights.copy()
-    best_directions = directions.copy()
-    best_eta = np.empty_like(directions)
-    sweeps = np.zeros(n_starts, dtype=int)
+    n_starts = weights.shape[0]
+    batch = _Batch(weights, directions)
+    strategy = weights.copy(), directions.copy(), np.empty_like(directions)
+    runs = _Runs(np.full(n_starts, -math.inf), np.zeros(n_starts, dtype=int), *strategy, [])
     history: list[tuple[np.ndarray, np.ndarray]] = []
-    kept_weights, kept_directions, kept_eta, kept_value = weights, directions, directions.copy(), None
-    # per start: omega > 1 when the next sweep scores a candidate, and the last accepted gain
-    omega = [1.0] * n_starts
-    last_gain = [math.inf] * n_starts
-    # per start: the next sweep scores a merge candidate
-    merging = [False] * n_starts
+    retired = -math.inf
 
     def where(i: int) -> str:
-        return f"start {ids[i]}, sweep {sweep}"
+        return f"start {batch.ids[i]}, sweep {sweep}"
 
     for sweep in range(1, config.max_iters + 1):
-        live = weights > 0.0
-        # at sweep 1 a guess is the row's own direction: exact on a 2-design, far off on a random start
-        guess = directions if kept_value is None else kept_eta if dim >= linalg.WARM_MIN_DIM else None
-        steps = kept_value is not None
-        if dim >= GATHER_MIN_DIM and not live.all():
-            phi = _phi_batch(ens, _signal_overlaps(ens, directions[live]))
-            lam, eta = np.zeros(weights.shape), kept_eta.copy()
-            lam[live], eta[live] = linalg.batched_top_eig(phi, None if guess is None else guess[live], _steps=steps)
-        else:
-            phi = _phi_batch(ens, _signal_overlaps(ens, directions))
-            lam, eta = linalg.batched_top_eig(phi, guess, _steps=steps)
-        value = np.einsum("sa,sa->s", weights, lam)
-
-        # the starting point is taken as it is; later, a plain step always, a candidate if F did not fall
-        take, done = [True] * len(ids), [False] * len(ids)
-        if kept_value is not None:
-            for i, gain in enumerate((value - kept_value).tolist()):
-                if omega[i] > 1.0:
-                    take[i] = gain >= 0.0
-                    grows = take[i] and gain >= config.convergence_eps
-                    omega[i] = min(OMEGA_GROWTH * omega[i], OMEGA_MAX) if grows else 1.0
-                    last_gain[i] = gain if take[i] else 0.0
-                    continue
-                if merging[i]:
-                    # a merged plain step: rejected, it leaves the start as it was; accepted, it cannot stop it
-                    take[i] = gain >= 0.0
-                    if not take[i]:
-                        continue
-                elif gain < -MONOTONE_TOL:
-                    raise NonMonotoneError(
-                        f"fidelity fell from {float(kept_value[i])!r} to {float(value[i])!r} ({where(i)})"
-                    )
-                else:
-                    done[i] = gain < config.convergence_eps
-                if gain >= SLOW_GAIN_RATIO * last_gain[i]:
-                    omega[i] = min(OMEGA_GROWTH, OMEGA_MAX)
-                last_gain[i] = gain
-        better = value > best_value[ids]
-        if better.any():
-            at = ids[better]
-            width = weights.shape[1]
-            best_value[at] = value[better]
-            best_weights[at] = 0.0
-            best_weights[at, :width] = weights[better]
-            best_directions[at, :width] = directions[better]
-            best_eta[at, :width] = eta[better]
-        if all(take):
-            kept_weights, kept_directions, kept_eta, kept_value = weights, directions, eta, value
-        else:
-            mask = np.array(take)
-            kept_weights = np.where(mask[:, None], weights, kept_weights)
-            kept_directions = np.where(mask[:, None, None], directions, kept_directions)
-            kept_eta = np.where(mask[:, None, None], eta, kept_eta)
-            kept_value = np.where(mask, value, kept_value)
-        history.append((ids, kept_value))
-        if sweep == config.max_iters or best_value.max() >= upper - GAP_TOL:
-            sweeps[ids] = sweep
+        value, eta, rows = _score(ens, weights, directions, batch)
+        # the starting point is taken as it is
+        take, done = [True] * len(value), [False] * len(value)
+        if batch.value is not None:
+            take, done = _accept(batch, value, config.convergence_eps, where)
+        batch.hold_best(runs, (weights, directions, eta), value)
+        batch.take(take, weights, directions, eta, value)
+        history.append((batch.ids, batch.value))
+        # a best value is never NaN, so this compares the best of all starts with the cap
+        if sweep == config.max_iters or max(batch.best.max(), retired) >= upper - GAP_TOL:
+            _retire(batch, runs, slice(None), sweep)
             break
         if any(done):
-            going = ~np.array(done)
-            sweeps[ids[~going]] = sweep
-            if not going.any():
+            retiring = np.array(done)
+            _retire(batch, runs, retiring, sweep)
+            batch.keep_rows(~retiring)
+            if not len(batch.ids):
                 break
-            ids, kept_weights, kept_directions, kept_eta, kept_value = (
-                ids[going], kept_weights[going], kept_directions[going], kept_eta[going], kept_value[going]
-            )
-            omega, last_gain = (list(itertools.compress(x, going)) for x in (omega, last_gain))
-
-        # d live outcomes that resolve the identity are a basis of weight 1, whose weight candidate
-        # would be the plain step: its omega stretches its directions inside the plain step instead
-        relaxed = stretch = None
-        if max(omega) > 1.0:
-            omegas = np.array(omega)
-            relaxed = omegas > 1.0
-            bases = [i for i, w in enumerate(omega) if w > 1.0 and np.count_nonzero(kept_weights[i]) == dim]
-            if bases:
-                stretch = np.ones(len(omega))
-                stretch[bases] = omegas[bases]
-                relaxed[bases] = False
-        weights, directions, factors, fell = _plain_step(ens, kept_weights, kept_directions, kept_eta, where, stretch)
-        if relaxed is not None:
-            # the other relaxed starts take a weight candidate, unless their plain step pruned them to a basis
-            if relaxed.any():
-                relaxed &= np.count_nonzero(weights, axis=1) > dim
-                candidate_weights, candidate_directions, ok = _over_relaxed(weights, directions, factors, omegas)
-                relaxed &= ok
-                weights = np.where(relaxed[:, None], candidate_weights, weights)
-                directions = np.where(relaxed[:, None, None], candidate_directions, directions)
-            if stretch is not None:
-                relaxed[bases] = True
-                relaxed[fell] = False
-            # a candidate or a stretch that is not a measurement gave way to the plain step, unscored
-            omega = [w if r else 1.0 for w, r in zip(omega, relaxed.tolist())]
-        merging = [False] * len(ids)
-        if dim >= MERGE_MIN_DIM and sweep % MERGE_EVERY == 0:
-            weights, directions, merged = _merged(weights, directions, where)
-            merging = merged.tolist()
-            # the outcome axis keeps, in order, each start's rows that are live at its accepted or next point
-            used = (weights > 0.0) | (kept_weights > 0.0)
-            width = int(np.count_nonzero(used, axis=1).max())
-            if width < weights.shape[1]:
-                order = np.argsort(~used, axis=1, kind="stable")[:, :width]
-                weights, kept_weights = (np.take_along_axis(a, order, axis=1) for a in (weights, kept_weights))
-                directions, kept_directions, kept_eta = (
-                    np.take_along_axis(a, order[..., None], axis=1) for a in (directions, kept_directions, kept_eta)
-                )
+            retired = runs.fidelity.max()
+        # the score's live-row gather is the kept point's while every active start took its scored point
+        weights, directions = _step(ens, batch, sweep, where, rows if all(take) and not any(done) else None)
 
     trace = np.full((len(history), n_starts), np.nan)
     for row, (active, values) in zip(trace, history):
         row[active] = values
-    return _Runs(
-        fidelity=best_value,
-        sweeps=sweeps,
-        weights=best_weights,
-        directions=best_directions,
-        eta=best_eta,
-        traces=[trace[: sweeps[s], s].copy() for s in range(n_starts)],
-    )
+    runs.traces.extend(trace[: runs.sweeps[s], s].copy() for s in range(n_starts))
+    return runs
 
 
 def _search(
-    ens: SignalEnsemble,
-    weights: np.ndarray,
-    directions: np.ndarray,
-    config: OptimizerConfig,
-    upper: float = math.inf,
+    ens: SignalEnsemble, weights: np.ndarray, directions: np.ndarray, config: OptimizerConfig, upper: float = math.inf
 ) -> FidelitySearch:
     """Run :func:`_see_saw_batch` from the given starts, stopping at ``upper``, and report the best one.
 
@@ -745,11 +749,7 @@ def _search(
     )
 
 
-def see_saw(
-    ens: SignalEnsemble,
-    initial: Povm,
-    config: OptimizerConfig | None = None,
-) -> FidelitySearch:
+def see_saw(ens: SignalEnsemble, initial: Povm, config: OptimizerConfig | None = None) -> FidelitySearch:
     """The see-saw of :func:`_see_saw_batch` on one start, without a cap.
 
     This is the search of :func:`optimal_fidelity` run on a batch of one

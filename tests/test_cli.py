@@ -191,6 +191,58 @@ class TestMeasureCommand:
         assert "synthetic" in err
 
 
+class TestOutPath:
+    """An --out that cannot be written exits 2, naming the flag, before any work and without touching the path."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        import qincompat.cli as cli_module
+
+        def fail(*_args, **_kwargs):
+            raise AssertionError("the search ran although --out cannot be written")
+
+        monkeypatch.setattr(cli_module, "incompatibility", fail)
+        monkeypatch.setattr(cli_module, "mub_bases", fail)
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("nodir/x.json", "--out {tmp}/nodir/x.json: no directory {tmp}/nodir"),
+            (".", "--out {tmp}/. is a directory"),
+            ("", "--out {tmp}/ is a directory"),
+        ],
+    )
+    def test_measure(self, tmp_path, capsys, no_search, target, message):
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, out, err = run(capsys, "measure", write_zx(tmp_path), "--out", f"{tmp_path}/{target}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before + ["zx.json"]
+
+    def test_relative_path_in_a_missing_directory(self, tmp_path, capsys, monkeypatch, no_search):
+        document = write_zx(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "measure", document, "--out", "nodir/x.json")
+        assert code == 2
+        assert err == "error: --out nodir/x.json: no directory nodir\n"
+
+    def test_mub(self, tmp_path, capsys, no_search):
+        code, _, err = run(capsys, "mub", "3", "2", "--out", str(tmp_path / "nodir" / "m.json"))
+        assert code == 2
+        assert err.startswith("error: --out ") and "no directory" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_writable_path_is_neither_created_nor_truncated_by_the_check(self, tmp_path, capsys, no_search):
+        # the search fails, so the command writes nothing: whatever is at --out is as the check left it
+        fresh, existing = tmp_path / "fresh.json", tmp_path / "existing.json"
+        existing.write_text("kept")
+        for target in (fresh, existing):
+            with pytest.raises(AssertionError, match="the search ran"):
+                main(["measure", write_zx(tmp_path), "--out", str(target)])
+        assert not fresh.exists()
+        assert existing.read_text() == "kept"
+
+
 class TestSizeCaps:
     """A search too large for the see-saw's byte budget exits 2 before anything is allocated."""
 

@@ -9,7 +9,7 @@ from qincompat import (
     mub_bases,
     shared_eigenvector_pair,
 )
-from qincompat import optimizer
+from qincompat import linalg, optimizer
 from qincompat.errors import BoundViolationError, NonMonotoneError, SingularUpdateError
 from qincompat.fidelity import (
     Povm,
@@ -634,6 +634,169 @@ class TestOutcomeMerge:
         else:
             # only random starts, which have more than d live outcomes, merge
             assert merged_outcomes and min(merged_outcomes) > dim
+
+
+class TestAcceptRule:
+    """The accept phase on the batch record: one case per branch of its rule, as one row of a batch each."""
+
+    EPS = 1e-10
+    # omega, last gain, merging, gain -> take, done, omega, last gain
+    CASES = {
+        "candidate gains at least eps: omega grows": ((1.5, 1e-6, False, 1e-8), (True, False, 2.25, 1e-8)),
+        "candidate gains at least eps: omega capped": ((40.0, 1e-6, False, 1e-8), (True, False, 50.0, 1e-8)),
+        "candidate gains less than eps: omega reset": ((2.25, 1e-6, False, 1e-12), (True, False, 1.0, 1e-12)),
+        "candidate lowers F: rejected": ((2.25, 1e-6, False, -1e-9), (False, False, 1.0, 0.0)),
+        "merge lowers F: rejected, state kept": ((1.0, 1e-6, True, -1e-9), (False, False, 1.0, 1e-6)),
+        "merge keeps F: taken, not done": ((1.0, 1e-6, True, 0.0), (True, False, 1.0, 0.0)),
+        "plain step gains shrink slowly: omega 1.5": ((1.0, 1e-6, False, 1e-6), (True, False, 1.5, 1e-6)),
+        "plain step gains shrink fast: omega stays 1": ((1.0, 1e-6, False, 1e-7), (True, False, 1.0, 1e-7)),
+        "plain step below eps: done": ((1.0, 1e-6, False, 1e-11), (True, True, 1.0, 1e-11)),
+        "plain step falls within MONOTONE_TOL: done": ((1.0, 1e-6, False, -1e-13), (True, True, 1.0, -1e-13)),
+    }
+
+    @staticmethod
+    def batch(rows):
+        """A batch record whose kept value is 0, so that each scored value is its gain exactly."""
+        omega, last_gain, merging, _ = np.array(rows, dtype=object).T
+        batch = optimizer._Batch(np.ones((len(rows), 2)), np.zeros((len(rows), 2, 2), dtype=complex))
+        batch.value = np.zeros(len(rows))
+        batch.omega, batch.last_gain = omega.astype(float), last_gain.astype(float)
+        batch.merging = merging.astype(bool)
+        return batch
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_start(self, case):
+        state, expected = self.CASES[case]
+        batch = self.batch([state])
+        take, done = optimizer._accept(batch, np.array([state[3]]), self.EPS, str)
+        assert (take[0], done[0], float(batch.omega[0]), float(batch.last_gain[0])) == expected
+
+    def test_every_case_in_one_batch_as_alone(self):
+        states, expected = zip(*self.CASES.values())
+        batch = self.batch(states)
+        take, done = optimizer._accept(batch, np.array([state[3] for state in states]), self.EPS, str)
+        assert list(zip(take, done, batch.omega.tolist(), batch.last_gain.tolist())) == list(expected)
+
+    def test_plain_step_that_falls_beyond_monotone_tol_raises(self):
+        batch = self.batch([(1.0, 1e-6, False, 0.0), (1.0, 1e-6, False, 0.0)])
+        with pytest.raises(NonMonotoneError, match=r"fell from 0\.0 to -1e-09 \(row 1\)$"):
+            optimizer._accept(batch, np.array([0.0, -1e-9]), self.EPS, lambda i: f"row {i}")
+
+
+class TestBestPoint:
+    """Each start reports its best scored point, bit for bit, whichever write-out copies it."""
+
+    @staticmethod
+    def recorded(monkeypatch, ens):
+        """optimal_fidelity with every scored point recorded: checks its best points, returns (search, scored)."""
+        scored, raw = [], []
+        score, run_batch = optimizer._score, optimizer._see_saw_batch
+
+        def recording(ens, weights, directions, batch):
+            value, eta, rows = score(ens, weights, directions, batch)
+            scored.append((batch.ids.copy(), weights.copy(), directions.copy(), eta.copy(), value.copy()))
+            return value, eta, rows
+
+        def kept(*args):
+            raw.append(run_batch(*args))
+            return raw[-1]
+
+        monkeypatch.setattr(optimizer, "_score", recording)
+        monkeypatch.setattr(optimizer, "_see_saw_batch", kept)
+        search = optimal_fidelity(ens, FAST)
+        TestBestPoint.check(search, raw[0], scored)
+        return search, scored
+
+    @staticmethod
+    def check(search, runs, scored):
+        # each start's best point is the first it scored with a value no later point beats
+        best = {}
+        for ids, weights, directions, eta, value in scored:
+            for row, start in enumerate(ids.tolist()):
+                if start not in best or value[row] > best[start][0]:
+                    best[start] = (value[row], weights[row], directions[row], eta[row])
+        assert sorted(best) == list(range(len(runs.fidelity)))
+        for start, (value, weights, directions, eta) in best.items():
+            width = len(weights)
+            assert runs.fidelity[start] == value
+            np.testing.assert_array_equal(runs.weights[start], np.pad(weights, (0, runs.weights.shape[1] - width)))
+            np.testing.assert_array_equal(runs.directions[start, :width], directions)
+            np.testing.assert_array_equal(runs.eta[start, :width], eta)
+        assert search.restart_trace == tuple(runs.fidelity.tolist())
+        value, weights, directions, eta = best[search.best_start]
+        live = weights > 0.0
+        assert search.fidelity == value
+        np.testing.assert_array_equal(search.povm.weights, weights[live])
+        np.testing.assert_array_equal(search.povm.directions, linalg.fix_phases(directions[live]))
+        np.testing.assert_array_equal(search.reconstruction.directions, linalg.fix_phases(eta[live]))
+
+    @staticmethod
+    def rejections(search, scored):
+        """Scored values below the fidelity accepted before them, which stayed accepted."""
+        values = np.full((len(scored), len(search.restart_trace)), np.nan)
+        for sweep, (ids, _, _, _, value) in enumerate(scored):
+            values[sweep, ids] = value
+        accepted = np.full_like(values, np.nan)
+        for start, trace in enumerate(search.traces):
+            accepted[: len(trace), start] = trace
+        return np.count_nonzero((values[1:] < accepted[:-1]) & (accepted[1:] == accepted[:-1]))
+
+    def test_plain_steps_that_fall_within_monotone_tol(self, monkeypatch):
+        # every step plain, and a fall within the (raised) tolerance is taken and stops the start. The
+        # second step sends starts 0, 2 and 4 back to their sweep-1 points and the third sends 1, 3 and 5
+        # back to their sweep-2 points: each start reports the sweep before its fall, whether the others
+        # improved at the sweep of the fall (sweep 3) or fell too (sweep 4)
+        monkeypatch.setattr(optimizer, "MONOTONE_TOL", 1.0)
+        monkeypatch.setattr(optimizer, "OMEGA_MAX", 1.0)
+        plain_step, inputs = optimizer._plain_step, []
+
+        def step_back(ens, weights, directions, *args):
+            inputs.append((weights, directions))
+            new_weights, new_directions, *rest = plain_step(ens, weights, directions, *args)
+            if len(inputs) == 2:
+                new_weights[::2], new_directions[::2] = inputs[0][0][::2], inputs[0][1][::2]
+            elif len(inputs) == 3:
+                new_weights, new_directions = inputs[1][0][1::2], inputs[1][1][1::2]
+            return (new_weights, new_directions, *rest)
+
+        monkeypatch.setattr(optimizer, "_plain_step", step_back)
+        search, _ = self.recorded(monkeypatch, random_ensemble(3, 2, np.random.default_rng(21)))
+        assert search.start_sweeps == (3, 4) * 3
+        for start, (trace, value) in enumerate(zip(search.traces, search.restart_trace)):
+            fall = search.start_sweeps[start] - 1
+            assert trace[fall] == trace[fall - 2] < trace[fall - 1] == value
+
+    def test_rejected_weight_candidates_are_never_reported(self, monkeypatch):
+        search, scored = self.recorded(monkeypatch, random_ensemble(3, 2, np.random.default_rng(21)))
+        assert self.rejections(search, scored) > 0
+
+    def test_rejected_merges_are_never_reported(self, monkeypatch):
+        # every merge candidate is swapped for the computational basis, far below the accepted point
+        merge, merged_sweeps = optimizer._merged, []
+
+        def lowered(weights, directions, where):
+            weights, directions, merged = merge(weights, directions, where)
+            if merged.any():
+                merged_sweeps.append(merged.sum())
+                dim = directions.shape[2]
+                weights = np.where(merged[:, None], np.arange(weights.shape[1]) < dim, weights)
+                directions = directions.copy()
+                directions[merged, :dim] = np.eye(dim)
+            return weights, directions, merged
+
+        monkeypatch.setattr(optimizer, "_merged", lowered)
+        search, scored = self.recorded(monkeypatch, random_ensemble(6, 2, np.random.default_rng(8)))
+        assert merged_sweeps and self.rejections(search, scored) >= sum(merged_sweeps)
+
+    def test_gap_stop_at_sweep_one(self, monkeypatch):
+        search, _ = self.recorded(monkeypatch, signal_ensemble(mub_bases(3, 4)))
+        assert search.start_sweeps == (1,) * 8
+
+    def test_compaction_at_d5(self, monkeypatch):
+        search, scored = self.recorded(monkeypatch, random_ensemble(5, 2, np.random.default_rng(5)))
+        widths = [weights.shape[1] for _, weights, _, _, _ in scored]
+        assert widths[0] == 25 and min(widths) < 25
+        assert search.best_start >= 2 and search.povm.n_outcomes > 5
 
 
 class TestOptimalFidelity:
