@@ -81,7 +81,7 @@ def _check_povms(dim: int, weights: np.ndarray, directions: np.ndarray) -> None:
     if np.max(np.abs(norms - 1.0)) > DIRECTION_NORM_TOL:
         raise ValueError("POVM directions must be unit vectors")
     resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
-    if np.any(linalg.frobenius_norms(resolution - np.eye(dim)) > COMPLETENESS_TOL):
+    if np.any(linalg.frobenius_norms(resolution - linalg.identity(dim)) > COMPLETENESS_TOL):
         raise ValueError("POVM elements do not sum to the identity within 1e-9")
     if np.any(np.abs(np.sum(weights, axis=1) - dim) > COMPLETENESS_TOL):
         raise ValueError("POVM weights must sum to the dimension")

@@ -9,6 +9,8 @@ RNG state anywhere in the package.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, NotHermitianError
@@ -24,6 +26,30 @@ from .tolerances import (
 
 # Below this dimension one eigh is cheaper than the warm step and its checks.
 WARM_MIN_DIM = 6
+
+# Largest d whose identity is held (see identity).
+IDENTITY_HELD_MAX_DIM = 64
+
+
+def identity(dim: int) -> np.ndarray:
+    """The real d x d identity, read-only, with the bits of ``np.eye(dim)``.
+
+    Up to IDENTITY_HELD_MAX_DIM it is built once per d and held, about 0.7 MB
+    for every such d together; a larger one is built per call, a cost small
+    beside the d^3 work it takes part in.
+    """
+    if dim <= IDENTITY_HELD_MAX_DIM:
+        return _held_identity(dim)
+    return _read_only_identity(dim)
+
+
+def _read_only_identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
+_held_identity = functools.cache(_read_only_identity)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -136,7 +162,7 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
 
         columns, conj = rows.swapaxes(1, 2), rows.conj()
         scale, asymmetry, gram_error, residual = frobenius_norms(np.array((
-            h, h - adjoint, conj @ columns - np.eye(h.shape[1]), (columns * values[:, None, :]) @ conj - hermitian
+            h, h - adjoint, conj @ columns - identity(h.shape[1]), (columns * values[:, None, :]) @ conj - hermitian
         )))
     diverged = np.zeros(len(h), dtype=bool)
     if unsolved:
@@ -235,7 +261,7 @@ def _rayleigh_step(matrices: np.ndarray, guess: np.ndarray, sigma: np.ndarray) -
     singular gets a NaN row and ``solved`` False; the other rows keep the
     bits of the batched solve.
     """
-    shifted = matrices - sigma[:, None, None] * np.eye(matrices.shape[-1])
+    shifted = matrices - sigma[:, None, None] * identity(matrices.shape[-1])
     try:
         y = np.linalg.solve(shifted, guess[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -309,7 +335,7 @@ def _certified(matrices: np.ndarray, rho: np.ndarray, residual_sq: np.ndarray, t
 
 def _cholesky_certified(matrices: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Per matrix of a (n, d, d) stack: does bound * I - A have a Cholesky factor?"""
-    shifted = bound[:, None, None] * np.eye(matrices.shape[-1]) - matrices
+    shifted = bound[:, None, None] * identity(matrices.shape[-1]) - matrices
     try:
         np.linalg.cholesky(shifted)
         return np.ones(len(shifted), dtype=bool)

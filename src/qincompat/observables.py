@@ -166,7 +166,7 @@ def basis_checks(vectors: np.ndarray, tol, labels) -> tuple[tuple, tuple]:
     it. Written as not (err <= tol) so that NaN amplitudes fail too, and
     computed without floating-point warnings, so that huge ones fail quietly.
     """
-    eye = np.eye(vectors.shape[-1])
+    eye = linalg.identity(vectors.shape[-1])
     conj, columns = vectors.conj(), vectors.swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         off = np.abs(np.abs(conj @ columns) ** 2 - eye).max(axis=(1, 2))
@@ -233,7 +233,7 @@ def _commutator_norms(overlaps: np.ndarray) -> np.ndarray:
     orthonormal bases and, unlike 1.0 - c, keeps its relative accuracy when
     c rounds to 1: a duplicate from eigenbasis_of reads about 1e-15, not 2e-8.
     """
-    rest = overlaps @ (1.0 - np.eye(overlaps.shape[-1]))
+    rest = overlaps @ (1.0 - linalg.identity(overlaps.shape[-1]))
     return np.sqrt(2.0 * overlaps * rest).max(axis=(-2, -1))
 
 

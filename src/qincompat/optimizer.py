@@ -46,7 +46,12 @@ where the unmerged start would have stopped. Reported strategies shrink
 with their start.
 
 Reports are deterministic: restart r draws from a stream seeded by
-(config.seed, r), so identical configurations give identical output.
+(config.seed, r), so identical configurations give identical output. The
+random starts depend on nothing but (d, outcomes, seed, restarts), so
+:func:`_random_starts` builds and checks them once per configuration and
+holds them read-only for later searches in the same process, at most 16 MiB
+of them; every search copies them into its own batch, so a held start gives
+the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -113,6 +118,11 @@ MERGE_MIN_DIM = 5
 
 # Largest Phi stack, in bytes, that the see-saw may hold for one set.
 KERNEL_BYTE_BUDGET = 2**28
+
+# Random starts held for later searches (see _random_starts): the START_HELD_COUNT most recently used
+# configurations whose arrays take at most START_HELD_BYTES each, so at most 16 MiB of arrays in all.
+START_HELD_BYTES = 2**19
+START_HELD_COUNT = 32
 
 
 @dataclass(frozen=True)
@@ -286,14 +296,6 @@ def spectral_cap(ens: SignalEnsemble) -> float:
     return top * (1.0 + SPECTRAL_CAP_SLACK * dim * dim) / ens.n_bases
 
 
-@functools.cache
-def _identity(dim: int) -> np.ndarray:
-    """The d x d identity that completeness is checked against, built once per d and read-only."""
-    eye = np.eye(dim)
-    eye.setflags(write=False)
-    return eye
-
-
 def _norms(x: np.ndarray, axis: int | tuple[int, int]) -> np.ndarray:
     """``np.linalg.norm(x, axis=axis)`` by numpy's own formula, without its argument handling: the same bits."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
@@ -345,7 +347,7 @@ def _rescaled(weights: np.ndarray, moved: np.ndarray, fallback: np.ndarray):
     weights = np.where(keep, weights, 0.0)
     directions = np.where(keep[..., None], moved / np.where(keep, norms, 1.0)[..., None], fallback)
     resolution = (directions.swapaxes(1, 2) * weights[:, None, :]) @ directions.conj()
-    lost = _norms(resolution - _identity(moved.shape[2]), (1, 2)) > COMPLETENESS_TOL
+    lost = _norms(resolution - linalg.identity(moved.shape[2]), (1, 2)) > COMPLETENESS_TOL
     return weights, directions, factors, empty, lost
 
 
@@ -763,15 +765,39 @@ def see_saw(ens: SignalEnsemble, initial: Povm, config: OptimizerConfig | None =
     return _search(ens, initial.weights[None], initial.directions[None], config or OptimizerConfig())
 
 
+def _random_starts(dim: int, n_outcomes: int, seed: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random starts of a search, read-only: :func:`random_povm` on the generators seeded (seed, r), r < restarts.
+
+    They depend on nothing else, so a configuration whose (R, K) weights and (R, K, d) directions take
+    at most START_HELD_BYTES is built and checked once and held; least recently used first, all but
+    START_HELD_COUNT held configurations are dropped. A build that raises holds nothing.
+    """
+    if restarts * n_outcomes * (1 + 2 * dim) * np.dtype(float).itemsize > START_HELD_BYTES:
+        return _built_starts(dim, n_outcomes, seed, restarts)
+    return _held_starts(dim, n_outcomes, seed, restarts)
+
+
+def _built_starts(dim: int, n_outcomes: int, seed: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    starts = random_povm(dim, n_outcomes, [np.random.default_rng((seed, restart)) for restart in range(restarts)])
+    for array in starts:
+        array.setflags(write=False)
+    return starts
+
+
+_held_starts = functools.lru_cache(maxsize=START_HELD_COUNT)(_built_starts)
+
+
 def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None) -> FidelitySearch:
     """Best intercept-resend fidelity found over all see-saw starts.
 
     Starts from each of the N projective eigenbasis measurements, which
     guarantees the (N + d - 1)/(N d) floor, then from ``config.restarts``
-    random POVMs with ``config.n_outcomes(d)`` outcomes. All starts run in
-    one lock-step batch; the projective ones are padded to that outcome
-    count with weight-0 outcomes. The batch stops once its best start is
-    within GAP_TOL of :func:`spectral_cap`, which the result carries as
+    random POVMs with ``config.n_outcomes(d)`` outcomes, held from an
+    earlier search of the same configuration if there was one
+    (:func:`_random_starts`). All starts are copied into one lock-step
+    batch; the projective ones are padded to that outcome count with
+    weight-0 outcomes. The batch stops once its best start is within
+    GAP_TOL of :func:`spectral_cap`, which the result carries as
     ``fidelity_upper``. The reported value is a lower bound on the true
     supremum; ties within TIE_TOL resolve to the earliest start.
     """
@@ -785,8 +811,7 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     weights[:n_bases, :dim] = 1.0
     directions[:n_bases, :dim] = ens.vectors
     directions[:n_bases, dim:] = ens.vectors[:, :1]
-    rngs = [np.random.default_rng((config.seed, restart)) for restart in range(config.restarts)]
-    weights[n_bases:], directions[n_bases:] = random_povm(dim, n_outcomes, rngs)
+    weights[n_bases:], directions[n_bases:] = _random_starts(dim, n_outcomes, config.seed, config.restarts)
 
     return _search(ens, weights, directions, config, spectral_cap(ens))
 

@@ -256,11 +256,21 @@ class TestSizeCaps:
     def test_flag_too_large(self, tmp_path, capsys, monkeypatch, flags, field):
         from qincompat import optimizer
 
-        monkeypatch.setattr(optimizer, "random_povm", None)
-        code, out, err = run(capsys, "measure", write_zx(tmp_path), *flags)
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {field} is too large: the see-saw would hold ")
+        path = write_zx(tmp_path)
+        optimizer._held_starts.cache_clear()
+        for warm in (False, True):
+            if warm:  # a search of the same d that fits holds its starts first
+                assert run(capsys, "measure", path, "--restarts", "1")[0] == 0
+            held = optimizer._held_starts.cache_info()
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "random_povm", None)
+                code, out, err = run(capsys, "measure", path, *flags)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {field} is too large: the see-saw would hold ")
+            # the refused search neither looked up nor left an entry
+            assert optimizer._held_starts.cache_info() == held
+        assert held.currsize == 1
 
     def test_document_dim_too_large_is_rejected_before_its_items(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(documents, "_item_arrays", None)

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,10 +287,18 @@ class TestKernelSize:
 
     def test_search_checks_before_it_allocates(self, monkeypatch):
         monkeypatch.setattr(optimizer, "KERNEL_BYTE_BUDGET", 1000)
-        monkeypatch.setattr(optimizer, "random_povm", None)
-        expected = r"^restarts 4 is too large: .* hold 6 x 4 x 2 x 2 complex entries \(1536 bytes\)"
-        with pytest.raises(ValueError, match=expected):
-            incompatibility(mub_bases(2, 2), FAST)
+        optimizer._held_starts.cache_clear()
+        for warm in (False, True):
+            if warm:  # a search of the same d that fits holds its starts first
+                incompatibility(mub_bases(2, 2), OptimizerConfig(restarts=1, seed=0))
+            held = optimizer._held_starts.cache_info()
+            expected = r"^restarts 4 is too large: .* hold 6 x 4 x 2 x 2 complex entries \(1536 bytes\)"
+            with monkeypatch.context() as patch, pytest.raises(ValueError, match=expected):
+                patch.setattr(optimizer, "random_povm", None)
+                incompatibility(mub_bases(2, 2), FAST)
+            # the refused search neither looked up nor left an entry
+            assert optimizer._held_starts.cache_info() == held
+        assert held.currsize == 1
 
 
 class TestUpdateOperator:
@@ -836,6 +848,140 @@ class TestOptimalFidelity:
             assert block_value == pytest.approx((dim + 2.0) / (2.0 * dim), abs=1e-12)
             search = optimal_fidelity(ens, FAST)
             assert search.fidelity == pytest.approx((dim + 2.0) / (2.0 * dim), abs=1e-9)
+
+
+def search_bytes(search):
+    """Everything a search reports about its strategy and starts, as bytes and tuples."""
+    arrays = (search.povm.weights, search.povm.directions, search.reconstruction.directions)
+    return tuple(a.tobytes() for a in arrays), search.restart_trace, search.start_sweeps
+
+
+class TestRandomStartCache:
+    """Random starts depend only on (d, outcomes, seed, restarts): later searches reuse them, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        optimizer._held_starts.cache_clear()
+        yield
+        optimizer._held_starts.cache_clear()
+
+    def test_repeated_and_cleared_searches_are_byte_identical(self):
+        ens = random_ensemble(3, 2, np.random.default_rng(3))
+        built = optimal_fidelity(ens, FAST)
+        held = optimal_fidelity(ens, FAST)
+        assert optimizer._held_starts.cache_info().hits == 1
+        optimizer._held_starts.cache_clear()
+        rebuilt = optimal_fidelity(ens, FAST)
+        assert optimizer._held_starts.cache_info().misses == 1
+        assert max(built.start_sweeps) > 1  # the random starts ran steps, so their bits mattered
+        assert search_bytes(built) == search_bytes(held) == search_bytes(rebuilt)
+
+    def test_interleaved_configurations_match_each_alone(self):
+        ensembles = {dim: random_ensemble(dim, 2, np.random.default_rng(10 * dim + 1)) for dim in (3, 5)}
+        runs = [(dim, seed, restarts) for restarts in (4, 16) for dim, seed in ((3, 0), (5, 7), (3, 0))]
+
+        def search(dim, seed, restarts):
+            return search_bytes(optimal_fidelity(ensembles[dim], OptimizerConfig(restarts, seed=seed, max_iters=20)))
+
+        interleaved = [search(*run) for run in runs]
+        assert optimizer._held_starts.cache_info().hits == 2
+        for run, found in zip(runs, interleaved):
+            optimizer._held_starts.cache_clear()
+            assert search(*run) == found, run
+
+    def test_held_arrays_are_read_only_and_apart_from_every_batch(self, monkeypatch):
+        weights, directions = optimizer._random_starts(3, 9, 0, 4)
+        assert not weights.flags.writeable and not directions.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 0.0
+        saved = weights.tobytes(), directions.tobytes()
+
+        batches = []
+        original = optimizer._see_saw_batch
+
+        def kept(ens, weights, directions, config, upper):
+            batches.append((weights, directions))
+            return original(ens, weights, directions, config, upper)
+
+        monkeypatch.setattr(optimizer, "_see_saw_batch", kept)
+        search = optimal_fidelity(random_ensemble(3, 2, np.random.default_rng(3)), FAST)
+        assert optimizer._held_starts.cache_info().hits == 1
+        for array in (*batches[0], search.povm.weights, search.povm.directions, search.reconstruction.directions):
+            assert not np.shares_memory(array, weights) and not np.shares_memory(array, directions)
+            array.setflags(write=True)
+            array[...] = np.nan
+        again = optimizer._random_starts(3, 9, 0, 4)
+        assert again[0] is weights and again[1] is directions
+        assert (weights.tobytes(), directions.tobytes()) == saved
+
+    def test_failed_build_holds_nothing(self, monkeypatch):
+        def collinear(count, dim, rng):
+            return np.tile(np.eye(dim, dtype=complex)[:1], (count, 1))
+
+        ens = random_ensemble(3, 2, np.random.default_rng(3))
+        monkeypatch.setattr(linalg, "random_unit_vectors", collinear)
+        with pytest.raises(ValueError, match="do not span"):
+            optimal_fidelity(ens, FAST)
+        assert optimizer._held_starts.cache_info().currsize == 0
+        monkeypatch.undo()
+        found = search_bytes(optimal_fidelity(ens, FAST))
+        assert optimizer._held_starts.cache_info().misses == 2
+        optimizer._held_starts.cache_clear()
+        assert search_bytes(optimal_fidelity(ens, FAST)) == found
+
+    def test_bytes_held_stay_within_the_bound(self):
+        assert optimizer.START_HELD_COUNT * optimizer.START_HELD_BYTES == 2**24
+        # d = 8 with 64 outcomes: 8704 bytes a restart, so 60 restarts are the largest held configuration
+        per_restart = 64 * (1 + 2 * 8) * 8
+        largest = optimizer.START_HELD_BYTES // per_restart
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in range(optimizer.START_HELD_COUNT + 8):
+                weights, directions = optimizer._random_starts(8, 64, seed, largest)
+                assert weights.nbytes + directions.nbytes == largest * per_restart
+            del weights, directions
+            assert optimizer._held_starts.cache_info().currsize == optimizer.START_HELD_COUNT
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert optimizer.START_HELD_COUNT * largest * per_restart <= held
+            assert held <= optimizer.START_HELD_COUNT * optimizer.START_HELD_BYTES
+            # one restart more is built for each search and not held
+            optimizer._random_starts(8, 64, 0, largest + 1)
+            assert optimizer._held_starts.cache_info().currsize == optimizer.START_HELD_COUNT
+            assert tracemalloc.get_traced_memory()[0] - before <= held + 4096
+        finally:
+            tracemalloc.stop()
+
+    def test_threads_share_the_held_starts(self):
+        keys = [(dim, dim * dim, seed, 4) for dim in (2, 3) for seed in (0, 1)]
+        expected = {key: tuple(a.tobytes() for a in optimizer._built_starts(*key)) for key in keys}
+        found, errors = [], []
+
+        def worker(offset):
+            try:
+                for i in range(200):
+                    key = keys[(offset + i) % len(keys)]
+                    found.append((key, tuple(a.tobytes() for a in optimizer._random_starts(*key))))
+                    if i % 50 == offset:
+                        optimizer._held_starts.cache_clear()
+            except Exception as exc:  # reported below: an exception in a thread does not fail the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(found) == 8 * 200
+        assert all(got == expected[key] for key, got in found)
+        assert optimizer._held_starts.cache_info().currsize <= len(keys)
 
 
 class TestIncompatibility:
