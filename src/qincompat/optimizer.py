@@ -37,13 +37,13 @@ instead. A start converges only on a plain step that gains less than
 ``convergence_eps``.
 
 Random starts carry d^2 outcomes, while the optima they reach use far fewer
-distinct directions. From d = MERGE_MIN_DIM (5) on, every MERGE_EVERY (5)
-sweeps a start with more than d live outcomes scores a candidate with its
-nearly coincident outcomes merged, kept only if the fidelity did not fall;
-the merged-away outcomes cost no further eigenpairs. The start still stops
-where its own last gain falls below ``convergence_eps``, which can lie below
-where the unmerged start would have stopped. Reported strategies shrink
-with their start.
+distinct directions. At every d, every MERGE_EVERY (5) sweeps a start with
+more than d live outcomes scores a candidate with its nearly coincident
+outcomes merged, kept only if the fidelity did not fall; the merged-away
+outcomes cost no further eigenpairs. The start still stops where its own
+last gain falls below ``convergence_eps``, which can lie below where the
+unmerged start would have stopped. Reported strategies shrink with their
+start.
 
 Reports are deterministic: restart r draws from a stream seeded by
 (config.seed, r), so identical configurations give identical output. The
@@ -108,13 +108,13 @@ OMEGA_GROWTH = 1.5
 OMEGA_MAX = 50.0
 SLOW_GAIN_RATIO = 0.9
 
-# Outcome merging (see _merged). Merging every 5 sweeps at 1 - 1e-4 cut the top-eigenpair rows of the d = 6-8
-# random sets of the seed-1 benchmark corpus from 114,284 to 38,024, and lowered no set's fidelity. Below
-# MERGE_MIN_DIM no start merges: on the d = 3 and 4 sets it lowered 4 of 66 by 2e-12 to 3e-11, stop noise
-# that a stop on the last gain cannot tell from a loss; the gate goes with a certified stop (ROADMAP item 10).
+# Outcome merging (see _merged), at every d. Merging every 5 sweeps at 1 - 1e-4 cut the top-eigenpair rows of
+# the d = 6-8 random sets of the seed-1 benchmark corpus from 114,284 to 38,024, and lowered no set's fidelity.
+# On its d = 3 and 4 sets it cut them from 248,800 to 119,330 and the lock-step sweeps from 5,657 to 5,047; there
+# F fell on 5 of 66 sets by at most 2.8e-11, stop noise, while the median shortfall against a tightly converged
+# search fell from 7.6e-12 to 8.3e-13 over the whole d <= 4 corpus.
 MERGE_EVERY = 5
 MERGE_OVERLAP = 0.9999
-MERGE_MIN_DIM = 5
 
 # Largest Phi stack, in bytes, that the see-saw may hold for one set.
 KERNEL_BYTE_BUDGET = 2**28
@@ -615,8 +615,8 @@ def _step(ens: SignalEnsemble, batch: _Batch, sweep: int, where: Callable[[int],
     outcomes, each of weight 1 under any tilt) stretches its change of direction by omega, any other
     start takes the weights of :func:`_over_relaxed`. A candidate that is not a measurement gives way
     to the plain step, unscored, and resets omega. ``rows`` is the score's live-row gather when it is
-    the kept point's. At d >= MERGE_MIN_DIM, every MERGE_EVERY sweeps, :func:`_merged` follows and the
-    outcome axis is compacted: each start keeps, in order, its rows live at its kept or next point.
+    the kept point's. Every MERGE_EVERY sweeps, :func:`_merged` follows and the outcome axis is
+    compacted: each start keeps, in order, its rows live at its kept or next point.
     A held best point keeps its own, older width.
     """
     dim, omega = ens.dim, batch.omega
@@ -640,7 +640,7 @@ def _step(ens: SignalEnsemble, batch: _Batch, sweep: int, where: Callable[[int],
         relaxed |= bases
         relaxed[fell] = False
         batch.omega = np.where(relaxed, omega, 1.0)
-    if dim < MERGE_MIN_DIM or sweep % MERGE_EVERY:
+    if sweep % MERGE_EVERY:
         batch.merging = np.zeros(len(weights), dtype=bool)
         return weights, directions
     weights, directions, batch.merging = _merged(weights, directions, where)

@@ -584,7 +584,7 @@ class TestReportBytes:
         assert target.read_bytes() == self.json_text(doc).encode("ascii")
 
     def test_measure_where_a_random_start_wins(self, tmp_path, capsys, emitted):
-        # a random start beats both projective ones by far more than TIE_TOL: d^2 outcomes
+        # a random start beats both projective ones by far more than TIE_TOL: its 9 outcomes merge to 4
         rng = np.random.default_rng(1)
         obs = ObservableSet(tuple(random_basis(3, rng, f"r{i}") for i in range(2)))
         target = tmp_path / "report.json"
@@ -595,7 +595,7 @@ class TestReportBytes:
         [doc] = emitted
         trace = doc["restart_trace"]
         assert max(trace[2:]) - max(trace[:2]) > 1e-6
-        assert len(doc["best_povm"]["weights"]) == 9
+        assert len(doc["best_povm"]["weights"]) == 4
         assert target.read_bytes() == self.json_text(doc).encode("ascii")
 
     def test_measure_on_random_set(self, tmp_path, capsys, emitted, rng):

@@ -55,16 +55,16 @@ def reference_see_saw(ens, initial, config):
     does a candidate that is not a measurement. Omega leaves 1 after a plain
     step that gains at least 0.9 times the last accepted gain.
 
-    From d = MERGE_MIN_DIM on, every MERGE_EVERY sweeps a next point with
-    more than d outcomes has its nearly coincident outcomes merged: each
-    outcome's leader is the first outcome whose direction overlaps it by
-    more than MERGE_OVERLAP, a leader that leads itself takes the top
-    eigenpair of its group's summed element and its group's other outcomes
-    are dropped, and the result is completed by W^(-1/2). The merged point
-    is scored as a candidate; rejected, it leaves the start as it was, and
-    accepted with omega at 1, it is booked as a plain step that cannot stop
-    the start. Returns (fidelity, sweeps, outcomes of the best point, the
-    sweeps that rejected a weight candidate, the sweeps that scored a merge).
+    Every MERGE_EVERY sweeps a next point with more than d outcomes has its
+    nearly coincident outcomes merged: each outcome's leader is the first
+    outcome whose direction overlaps it by more than MERGE_OVERLAP, a leader
+    that leads itself takes the top eigenpair of its group's summed element
+    and its group's other outcomes are dropped, and the result is completed
+    by W^(-1/2). The merged point is scored as a candidate; rejected, it
+    leaves the start as it was, and accepted with omega at 1, it is booked
+    as a plain step that cannot stop the start. Returns (fidelity, sweeps,
+    outcomes of the best point, the sweeps that rejected a weight candidate,
+    the sweeps that scored a merge).
     """
     kets = ens.kets
     stack = ens.state_projectors
@@ -177,7 +177,7 @@ def reference_see_saw(ens, initial, config):
         else:
             weights, directions = over
             tilted = True
-        if ens.dim >= optimizer.MERGE_MIN_DIM and sweep % optimizer.MERGE_EVERY == 0 and len(weights) > ens.dim:
+        if sweep % optimizer.MERGE_EVERY == 0 and len(weights) > ens.dim:
             merge = merged(weights, directions)
             if merge is not None:
                 weights, directions = merge
@@ -395,7 +395,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(linalg, "_warm_top_eig", counted)
         monkeypatch.setattr(linalg, "_eigh_top", counted_eigh)
-        rejections = merges = 0
+        rejections, merged_dims = 0, set()
         for ens in self.ensembles():
             search = optimal_fidelity(ens, self.CONFIG)
             starts = search_starts(ens, self.CONFIG)
@@ -414,10 +414,11 @@ class TestBatchedKernel:
                     assert alone.traces[0][sweep - 1] == alone.traces[0][sweep - 2]
                     assert search.traces[index][sweep - 1] == search.traces[index][sweep - 2]
                 rejections += len(rejected)
-                merges += len(merged)
+                if merged:
+                    merged_dims.add(ens.dim)
         assert rejections > 0
-        # the random starts of the d = 5 and 6 sets merge outcomes
-        assert merges > 0
+        # the random starts merge outcomes at every d
+        assert merged_dims == {2, 3, 4, 5, 6}
         # every row of most warm calls is served by its guess or its steps
         assert sum(rows == 0 for rows in to_eigh) > 100
 
@@ -521,10 +522,12 @@ class TestBasisStretch:
     """A basis start over-relaxes by stretching its directions inside the plain step."""
 
     # the seed-21 qutrit pair: under plain steps alone its two basis starts ran 216 and 215 sweeps
-    # and ended at these fidelities; its random starts ran 184, 180, 171 and 133
+    # and ended at these fidelities; its random starts, which merge outcomes, run 187, 180, 100 and 68.
+    # Without merging the best random start ends at UNMERGED_RANDOM_BEST, which merging must not lose.
     PLAIN_BASIS_SWEEPS = (216, 215)
     PLAIN_BASIS_FIDELITY = (0.7080922549418827, 0.7080922549655421)
-    RANDOM_SWEEPS = (184, 180, 171, 133)
+    RANDOM_SWEEPS = (187, 180, 100, 68)
+    UNMERGED_RANDOM_BEST = 0.7088613191538862
 
     @staticmethod
     def ensemble():
@@ -533,6 +536,7 @@ class TestBasisStretch:
     def test_basis_starts_stop_sooner_and_no_lower(self):
         search = optimal_fidelity(self.ensemble(), FAST)
         assert search.start_sweeps[2:] == self.RANDOM_SWEEPS
+        assert search.fidelity == max(search.restart_trace[2:]) >= self.UNMERGED_RANDOM_BEST
         for sweeps, plain_sweeps, value, plain_value in zip(
             search.start_sweeps, self.PLAIN_BASIS_SWEEPS, search.restart_trace, self.PLAIN_BASIS_FIDELITY
         ):
@@ -618,17 +622,18 @@ class TestOutcomeMerge:
                 np.testing.assert_array_equal(before, after)
         assert alone.povm.n_outcomes > ens.dim
 
-    def test_random_start_at_d8_reports_fewer_than_d2_outcomes(self):
+    @pytest.mark.parametrize("dim, lead", [(3, 3e-4), (4, 1e-3), (8, 1e-3)])
+    def test_random_start_reports_fewer_than_d2_outcomes(self, dim, lead):
         rng = np.random.default_rng(1)
-        report = incompatibility(ObservableSet(tuple(random_basis(8, rng, f"r{i}") for i in range(2))), FAST)
+        report = incompatibility(ObservableSet(tuple(random_basis(dim, rng, f"r{i}") for i in range(2))), FAST)
         # a random start beats both basis starts by far more than TIE_TOL, so its strategy is reported
-        assert max(report.restart_trace[2:]) - max(report.restart_trace[:2]) > 1e-3
-        assert 8 < report.best_povm.n_outcomes < 64
+        assert max(report.restart_trace[2:]) - max(report.restart_trace[:2]) > lead
+        assert dim < report.best_povm.n_outcomes < dim * dim
 
-    @pytest.mark.parametrize("dim", [2, 6])
-    def test_basis_starts_and_qubit_sets_never_merge(self, monkeypatch, dim):
-        merge = optimizer._merged
-        merged_outcomes = []
+    @staticmethod
+    def merged_outcomes(monkeypatch):
+        """The live outcomes, before the merge, of every start that merged: filled in as the search runs."""
+        merge, merged_outcomes = optimizer._merged, []
 
         def recorded(weights, directions, where):
             result = merge(weights, directions, where)
@@ -636,16 +641,22 @@ class TestOutcomeMerge:
             return result
 
         monkeypatch.setattr(optimizer, "_merged", recorded)
+        return merged_outcomes
+
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_basis_starts_never_merge(self, monkeypatch, dim):
+        merged_outcomes = self.merged_outcomes(monkeypatch)
         ens = random_ensemble(dim, 2, np.random.default_rng(dim))
         for basis in ens.vectors:
             see_saw(ens, projective_povm(Eigenbasis(basis)), FAST)
         assert merged_outcomes == []
-        optimal_fidelity(ens, FAST)
-        if dim == 2:
-            assert merged_outcomes == []
-        else:
-            # only random starts, which have more than d live outcomes, merge
-            assert merged_outcomes and min(merged_outcomes) > dim
+
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_random_starts_merge(self, monkeypatch, dim):
+        # only random starts, which have more than d live outcomes, merge; qubit sets as well
+        merged_outcomes = self.merged_outcomes(monkeypatch)
+        optimal_fidelity(random_ensemble(dim, 2, np.random.default_rng(dim)), FAST)
+        assert merged_outcomes and min(merged_outcomes) > dim
 
 
 class TestAcceptRule:
@@ -1040,11 +1051,12 @@ class TestSpectralCap:
 
     @pytest.mark.parametrize(
         "dim, seed, sweeps",
-        [(3, 21, (78, 78, 184, 180, 171, 133)), (4, 22, (37, 37, 78, 73, 77, 81))],
+        [(3, 21, (78, 78, 187, 180, 100, 68)), (4, 22, (37, 37, 48, 43, 48, 53))],
     )
     def test_random_sets_keep_their_search(self, dim, seed, sweeps):
         # the cap is loose here, so no start stops early; the d = 3 basis starts stop at 78 sweeps
-        # because they stretch their directions (see TestBasisStretch), their random mates as before
+        # because they stretch their directions (see TestBasisStretch), and the random starts merge
+        # their outcomes (see TestOutcomeMerge)
         rng = np.random.default_rng(seed)
         report = incompatibility(ObservableSet(tuple(random_basis(dim, rng, f"r{i}") for i in range(2))), FAST)
         assert report.start_sweeps == sweeps
