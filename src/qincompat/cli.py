@@ -104,7 +104,7 @@ def _run_measure(args: argparse.Namespace) -> int:
     config = _config(args)
     obs = documents.parse_observable_set(documents.load_document(args.input), config)
     report = incompatibility(obs, config)
-    capped = sum(sweeps >= config.max_iters for sweeps in report.start_sweeps)
+    capped = report.start_stops.count("max_iters")
     if capped:
         sys.stderr.write(
             f"note: {capped} of {len(report.start_sweeps)} see-saw starts stopped at"

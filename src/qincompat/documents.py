@@ -334,6 +334,7 @@ def incompatibility_report_to_dict(report: IncompatibilityReport) -> dict:
         "iterations_used": report.iterations_used,
         "restart_trace": list(report.restart_trace),
         "start_sweeps": list(report.start_sweeps),
+        "start_stops": list(report.start_stops),
         "minimal_subset_labels": list(report.minimal_subset_labels),
         "search_status": report.search_status,
         "best_povm": povm_to_dict(report.best_povm),

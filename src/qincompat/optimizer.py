@@ -7,12 +7,14 @@ ensemble. The supremum over measurements has no closed form in general, so
 eigenbasis measurement plus a configurable number of random starts, and
 reports the best value found. That value is always a certified lower bound
 on the true supremum (every iterate is an actual strategy). Every set also
-gets a rigorous upper bound, the spectral cap of :func:`spectral_cap`,
-which is exact on complete sets of unbiased bases: the search stops as soon
-as its best start comes within GAP_TOL of the cap, and the report then reads
-``certified-within-gap``. Starts whose values differ by at most TIE_TOL are
-tied, and the earliest of them is reported, so float noise does not pick the
-strategy. Closed-form bounds are checked as well:
+gets a rigorous upper bound: the spectral cap of :func:`spectral_cap`,
+which is exact on complete sets of unbiased bases, and for d = 2 the lower
+of it and the exact qubit optimum 1/2 + lambda_max(K)/(2S) of
+:func:`_qubit_cap`. The search stops as soon as its best start comes within
+GAP_TOL of the bound, and the report then reads ``certified-within-gap``.
+Starts whose values differ by at most TIE_TOL are tied, and the earliest of
+them is reported, so float noise does not pick the strategy. Closed-form
+bounds are checked as well:
 
 * achievable fidelity is at least (N + d - 1)/(N d), the projective
   baseline, so incompatibility is at most (1 - 1/N)(1 - 1/d),
@@ -20,21 +22,31 @@ strategy. Closed-form bounds are checked as well:
   accessible-fidelity floor 2/(d + 1) (Fuchs) for pure-state ensembles,
 * for mutually unbiased bases both the fidelity and the measure are known
   exactly, and the projective baseline attains them,
-* fidelity is at most the spectral cap.
+* fidelity is at most the spectral cap, and on qubits at most the exact
+  optimum.
 
 All starts run in lock step (:func:`_see_saw_batch`). Their state is one
 record, :class:`_Batch`, with a row per active start: the kept point,
-omega, the last gain, the merge flag and the best point so far. Each sweep
-runs four phases on it: score (Phi build, top eigenpairs, value), accept,
-retire and step. The step is the fixed-point iteration of Jezek, Rehacek
-and Fiurasek (PRA 65, 060301(R), 2002), over-relaxed adaptively
-(Salakhutdinov and Roweis, ICML 2003): once the plain step's gains shrink
-slowly, a start tries a candidate with a factor omega > 1 and keeps it only
-if the fidelity did not fall. A start with more than d outcomes raises the
+omega, the last gain, a ring of its recent gains, the merge flag and the
+best point so far. Each sweep runs four phases on it: score (Phi build, top
+eigenpairs, value), accept, retire and step. The step is the fixed-point
+iteration of Jezek, Rehacek and Fiurasek (PRA 65, 060301(R), 2002),
+over-relaxed adaptively (Salakhutdinov and Roweis, ICML 2003): once the
+plain step's gains shrink slowly, a start tries a candidate with a factor
+omega > 1 and keeps it only if the fidelity did not fall. A start with more than d outcomes raises the
 step's weight factors to the power omega; a basis (d outcomes of weight 1,
 as every projective start is) stretches its change of direction by omega
 instead. A start converges only on a plain step that gains less than
 ``convergence_eps``.
+
+A start that cannot catch up is retired: when the best value any start has
+reached leads its kept value by more than RETIRE_MARGIN plus its largest
+gain of the last MERGE_EVERY sweeps, gained again at every sweep left to
+``max_iters``. Every other start keeps its own trajectory, so the winner's
+fidelity is the one it reaches alone, up to the rounding of the Phi build,
+whose gathered rows shrink with the batch. Each start records why it
+stopped: ``converged``, ``max_iters``, ``cap`` (the batch met its bound) or
+``retired``.
 
 Random starts carry d^2 outcomes, while the optima they reach use far fewer
 distinct directions. At every d, every MERGE_EVERY (5) sweeps a start with
@@ -92,6 +104,7 @@ from .tolerances import (
     GAP_TOL,
     MONOTONE_TOL,
     PINV_CUTOFF,
+    RETIRE_MARGIN,
     SPECTRAL_CAP_SLACK,
     TIE_TOL,
     WEIGHT_PRUNE_EPS,
@@ -194,15 +207,18 @@ class FidelitySearch:
     """Best strategy over all see-saw starts, with the per-start record.
 
     ``restart_trace`` lists, in run order, each start's best fidelity when
-    the batch stopped (at its own convergence, at ``max_iters``, or when
-    the best start met the cap): the N projective eigenbasis seeds first,
-    then the random restarts. ``start_sweeps`` lists the sweeps of every
-    start in the same order (a start at ``max_iters`` stopped at the sweep
-    limit, not by converging), and ``iterations`` is their sum. ``best_start``
-    indexes the start whose strategy is reported: the earliest whose value
-    is within TIE_TOL of the best. ``traces[s]`` holds the accepted fidelity
-    of start s after each of its sweeps. ``fidelity_upper`` is the cap the
-    search stopped against, inf when it was given none.
+    it stopped: the N projective eigenbasis seeds first, then the random
+    restarts. ``start_sweeps`` lists the sweeps of every start in the same
+    order, and ``iterations`` is their sum. ``start_stops`` says why each
+    start stopped: ``converged`` (a plain step gained less than
+    ``convergence_eps``), ``max_iters`` (the sweep limit), ``cap`` (the best
+    start met ``fidelity_upper``) or ``retired`` (it trailed the best by more
+    than it could still gain). ``best_start`` indexes the start whose
+    strategy is reported: the earliest whose value is within TIE_TOL of the
+    best. ``traces[s]`` holds the accepted fidelity of start s after each of
+    its sweeps. ``fidelity_upper`` is the upper bound the search stopped
+    against: the spectral cap, or for d = 2 the exact qubit optimum when
+    that is lower; inf when it was given none.
     """
 
     fidelity: float
@@ -214,6 +230,7 @@ class FidelitySearch:
     best_start: int
     traces: tuple[np.ndarray, ...]
     fidelity_upper: float
+    start_stops: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -225,12 +242,16 @@ class IncompatibilityReport:
     ``q_upper_*`` fields are the closed-form caps described in the module
     docstring (the small-N form is tight for N <= d + 1, the large-N form
     for N >= d + 1, equal at N = d + 1); ``fuchs_floor`` is 2/(d + 1).
-    ``fidelity_upper`` is the spectral cap on the true supremum and
+    ``fidelity_upper`` is the upper bound on the true supremum that the
+    search stopped against: the spectral cap, or for d = 2 the lower of it
+    and the exact qubit optimum, both padded for rounding.
     ``optimality_gap`` is fidelity_upper - optimal_fidelity.
     ``search_status`` is ``certified-within-gap`` when that gap is at most
     GAP_TOL (1e-12), so the reported fidelity is optimal to within it, and
     ``best-found-lower-bound`` otherwise: the fidelity is then a certified
     lower bound on the supremum, not a proof of optimality.
+    ``start_stops`` is the search's stop reason per start, parallel to
+    ``restart_trace`` and ``start_sweeps``.
     """
 
     incompatibility: float
@@ -248,6 +269,7 @@ class IncompatibilityReport:
     iterations_used: int
     restart_trace: tuple[float, ...]
     start_sweeps: tuple[int, ...]
+    start_stops: tuple[str, ...]
     minimal_subset_labels: tuple[str, ...]
     search_status: str
 
@@ -296,6 +318,23 @@ def spectral_cap(ens: SignalEnsemble) -> float:
     return top * (1.0 + SPECTRAL_CAP_SLACK * dim * dim) / ens.n_bases
 
 
+def _qubit_cap(ens: SignalEnsemble) -> float:
+    """The exact optimum 1/2 + lambda_max(K)/(2S) on the fidelity of a qubit set, padded as :func:`spectral_cap` is.
+
+    K = sum_k u_k u_k^T over the Bloch axes u_k of the S signal kets. Since
+    each basis's axes sum to zero, a strategy measuring {m_a, n_a} and
+    resending along r_a scores 1/2 + sum_a m_a n_a^T K r_a/(4S), at most
+    1/2 + lambda_max(K)/(2S) as the weights sum to 2; measuring along K's
+    top eigenvector attains it (the test suite's conftest works this
+    through). Applies to d = 2 only.
+    """
+    up, down = ens.kets[:, 0], ens.kets[:, 1]
+    cross = up.conj() * down
+    axes = np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(down) ** 2], axis=1)
+    top = float(np.linalg.eigvalsh(axes.T @ axes)[-1])
+    return 0.5 + top * (1.0 + SPECTRAL_CAP_SLACK * 2 * 2) / (2 * ens.n_states)
+
+
 def _norms(x: np.ndarray, axis: int | tuple[int, int]) -> np.ndarray:
     """``np.linalg.norm(x, axis=axis)`` by numpy's own formula, without its argument handling: the same bits."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
@@ -321,13 +360,17 @@ def _pinv_sqrt(matrices: np.ndarray, where: Callable[[int], str] | None = None) 
 
 
 class _Runs(NamedTuple):
-    """Per-start outcome of a lock-step see-saw batch; strategy arrays hold each start's best sweep."""
+    """Per-start outcome of a lock-step see-saw batch; strategy arrays hold each start's best sweep.
+
+    ``stops`` holds each start's stop reason: converged, max_iters, cap or retired.
+    """
 
     fidelity: np.ndarray
     sweeps: np.ndarray
     weights: np.ndarray
     directions: np.ndarray
     eta: np.ndarray
+    stops: np.ndarray
     traces: list[np.ndarray]
 
 
@@ -422,7 +465,7 @@ def _plain_step(
 def _over_relaxed(
     plain_weights: np.ndarray, plain_directions: np.ndarray, factors: np.ndarray, omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The over-relaxed candidate of each start: the plain step's factors s_a raised to omega.
+    """The over-relaxed candidate of each given start: the plain step's factors s_a raised to omega.
 
     Weights m_a s_a^omega = m'_a s_a^(omega - 1) on the plain step's
     directions chi'_a, completed by W^(-1/2) with W = sum_a m_a s_a^omega
@@ -431,8 +474,10 @@ def _over_relaxed(
     lost every outcome or completeness.
     """
     factors = np.where(plain_weights > 0.0, factors, 0.0)
-    # W^(-1/2) undoes a common scale, so s_a / max_b s_b keeps s_a^omega finite
-    tilted = plain_weights * (factors / factors.max(axis=1, keepdims=True)) ** (omega - 1.0)[:, None]
+    # W^(-1/2) undoes a common scale, so s_a / max_b s_b keeps s_a^omega finite. The exponent is spelled out
+    # per entry: numpy takes a row's constant exponent of 0.5 as a square root, with other bits than power's
+    ratio = factors / factors.max(axis=1, keepdims=True)
+    tilted = plain_weights * ratio ** (omega - 1.0)[:, None].repeat(ratio.shape[1], axis=1)
     weights, directions, _, empty, lost = _completed(tilted, plain_directions, plain_directions)
     return weights, directions, ~(empty | lost)
 
@@ -491,9 +536,11 @@ class _Batch:
 
     ``ids`` is each row's start; ``weights``, ``directions``, ``eta`` and
     ``value`` (None before sweep 1) are its kept point; ``omega``,
-    ``last_gain`` and ``merging`` steer its next candidate; ``best`` is its
-    best value. ``best_point``, unless None, is the scored point at which
-    every start last improved, held by reference until :meth:`write_out`.
+    ``last_gain`` and ``merging`` steer its next candidate; ``gains`` rings,
+    as a list per row, the gain it booked at each of its last MERGE_EVERY
+    sweeps (inf before it booked one); ``best`` is its best value.
+    ``best_point``, unless None, is the scored point at which every start
+    last improved, held by reference until :meth:`write_out`.
     """
 
     ROWS = "ids", "weights", "directions", "eta", "value", "omega", "last_gain", "merging", "best"
@@ -503,11 +550,28 @@ class _Batch:
         self.ids, self.value = np.arange(n), None
         self.weights, self.directions, self.eta = weights, directions, directions
         self.omega, self.last_gain, self.merging = np.ones(n), np.full(n, math.inf), np.zeros(n, dtype=bool)
+        self.gains = [[math.inf] * MERGE_EVERY for _ in range(n)]
         self.best, self.best_point = np.full(n, -math.inf), None
 
     def keep_rows(self, rows: np.ndarray) -> None:
         for name in self.ROWS:
             setattr(self, name, getattr(self, name)[rows])
+        self.gains = [ring for ring, keep in zip(self.gains, rows.tolist()) if keep]
+
+    def trailing(self, best: float, sweep: int, sweeps_left: int) -> list[bool]:
+        """Book each row's last gain at ``sweep``; mark the rows that cannot reach ``best`` in ``sweeps_left`` sweeps.
+
+        A row cannot when ``best`` leads its kept value by more than
+        RETIRE_MARGIN plus its largest gain of the last MERGE_EVERY sweeps,
+        gained again at every sweep left. A row younger than MERGE_EVERY + 1
+        sweeps holds an inf gain, so it is never marked. A Python loop, as
+        in :func:`_accept`: on a few rows it costs less than the array calls.
+        """
+        at, marks = sweep % MERGE_EVERY, []
+        for ring, gain, value in zip(self.gains, self.last_gain.tolist(), self.value.tolist()):
+            ring[at] = gain
+            marks.append(best - value > RETIRE_MARGIN + max(ring) * sweeps_left)
+        return marks
 
     def take(self, taken: list[bool], weights, directions, eta, value) -> None:
         """Make the scored point the kept one of every start that takes it."""
@@ -633,10 +697,16 @@ def _step(ens: SignalEnsemble, batch: _Batch, sweep: int, where: Callable[[int],
         # the other relaxed starts take a weight candidate, unless their plain step pruned them to a basis
         relaxed &= np.count_nonzero(weights, axis=1) > dim
         if relaxed.any():
-            candidate_weights, candidate_directions, ok = _over_relaxed(weights, directions, factors, omega)
-            relaxed &= ok
-            weights = np.where(relaxed[:, None], candidate_weights, weights)
-            directions = np.where(relaxed[:, None, None], candidate_directions, directions)
+            # built for those rows alone: a row's eigh, matmuls, row max and powers have the same bits in any stack
+            at = slice(None) if relaxed.all() else relaxed.nonzero()[0]
+            candidate_weights, candidate_directions, ok = _over_relaxed(
+                weights[at], directions[at], factors[at], omega[at]
+            )
+            relaxed[at] = ok
+            if relaxed.all():
+                weights, directions = candidate_weights, candidate_directions
+            else:
+                weights[relaxed], directions[relaxed] = candidate_weights[ok], candidate_directions[ok]
         relaxed |= bases
         relaxed[fell] = False
         batch.omega = np.where(relaxed, omega, 1.0)
@@ -655,12 +725,13 @@ def _step(ens: SignalEnsemble, batch: _Batch, sweep: int, where: Callable[[int],
     return weights, directions
 
 
-def _retire(batch: _Batch, runs: _Runs, rows: np.ndarray | slice, sweep: int) -> None:
-    """Retire phase: write out the held best point, and book the sweeps and best value of the starts in ``rows``."""
+def _retire(batch: _Batch, runs: _Runs, rows: np.ndarray | slice, sweep: int, stops: list[str]) -> None:
+    """Retire phase: write out the held best point, and book the sweeps, best value and stop reason of ``rows``."""
     batch.write_out(runs)
     at = batch.ids[rows]
     runs.sweeps[at] = sweep
     runs.fidelity[at] = batch.best[rows]
+    runs.stops[at] = stops
 
 
 def _see_saw_batch(
@@ -672,7 +743,8 @@ def _see_saw_batch(
     (:func:`_score`) values each start's point under its best reconstruction, accept
     (:func:`_accept`) takes or rejects it, retire (:func:`_retire`) writes out the starts that
     stopped, and step (:func:`_step`) moves the others on. A start stops when a plain step gains
-    less than ``convergence_eps`` or after ``max_iters`` sweeps. Every sweep counts, rejected
+    less than ``convergence_eps``, after ``max_iters`` sweeps, or when :meth:`_Batch.trailing` finds
+    that it cannot catch up with the best value of any start. Every sweep counts, rejected
     candidates included. Its trace holds the accepted fidelity after each sweep. The whole batch
     stops after the first sweep whose best value is within GAP_TOL of ``upper``, a cap on every
     strategy. A start's best point is copied out only when it retires, the batch stops, or a sweep
@@ -681,13 +753,15 @@ def _see_saw_batch(
     ``weights`` is (B, K) and ``directions`` (B, K, d). An outcome of weight 0 is padding, pruned or
     merged away: it adds nothing to the fidelity, the update operator or completeness, and keeps its
     last direction and resend direction, so that no 0/0 enters Phi. Every operation acts on each
-    start's rows alone, so each start follows the trajectory and sweep count it would follow on its
-    own. Every check is made per start, and its error names the start and the sweep.
+    start's rows alone, so each start follows the trajectory it would follow on its own, up to the
+    last bits of the gathered Phi build (one matmul over the live rows of all active starts), and
+    stops where it would alone unless it is retired or the batch meets its cap. Every check is made
+    per start, and its error names the start and the sweep.
     """
     n_starts = weights.shape[0]
     batch = _Batch(weights, directions)
     strategy = weights.copy(), directions.copy(), np.empty_like(directions)
-    runs = _Runs(np.full(n_starts, -math.inf), np.zeros(n_starts, dtype=int), *strategy, [])
+    runs = _Runs(np.full(n_starts, -math.inf), np.zeros(n_starts, dtype=int), *strategy, np.empty(n_starts, object), [])
     history: list[tuple[np.ndarray, np.ndarray]] = []
     retired = -math.inf
 
@@ -704,18 +778,24 @@ def _see_saw_batch(
         batch.take(take, weights, directions, eta, value)
         history.append((batch.ids, batch.value))
         # a best value is never NaN, so this compares the best of all starts with the cap
-        if sweep == config.max_iters or max(batch.best.max(), retired) >= upper - GAP_TOL:
-            _retire(batch, runs, slice(None), sweep)
+        best = max(batch.best.max(), retired)
+        capped = best >= upper - GAP_TOL
+        if capped or sweep == config.max_iters:
+            stop = "cap" if capped else "max_iters"
+            _retire(batch, runs, slice(None), sweep, ["converged" if d else stop for d in done])
             break
-        if any(done):
-            retiring = np.array(done)
-            _retire(batch, runs, retiring, sweep)
-            batch.keep_rows(~retiring)
+        trailing = batch.trailing(best, sweep, config.max_iters - sweep)
+        if any(done) or any(trailing):
+            leaving = np.logical_or(done, trailing)
+            stops = ["converged" if d else "retired" for d, t in zip(done, trailing) if d or t]
+            _retire(batch, runs, leaving, sweep, stops)
+            batch.keep_rows(~leaving)
             if not len(batch.ids):
                 break
             retired = runs.fidelity.max()
+            rows = None
         # the score's live-row gather is the kept point's while every active start took its scored point
-        weights, directions = _step(ens, batch, sweep, where, rows if all(take) and not any(done) else None)
+        weights, directions = _step(ens, batch, sweep, where, rows if all(take) else None)
 
     trace = np.full((len(history), n_starts), np.nan)
     for row, (active, values) in zip(trace, history):
@@ -748,6 +828,7 @@ def _search(
         best_start=best,
         traces=tuple(runs.traces),
         fidelity_upper=upper,
+        start_stops=tuple(runs.stops.tolist()),
     )
 
 
@@ -797,9 +878,10 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     (:func:`_random_starts`). All starts are copied into one lock-step
     batch; the projective ones are padded to that outcome count with
     weight-0 outcomes. The batch stops once its best start is within
-    GAP_TOL of :func:`spectral_cap`, which the result carries as
-    ``fidelity_upper``. The reported value is a lower bound on the true
-    supremum; ties within TIE_TOL resolve to the earliest start.
+    GAP_TOL of :func:`spectral_cap`, or for d = 2 of the lower of it and
+    :func:`_qubit_cap`, which the result carries as ``fidelity_upper``.
+    The reported value is a lower bound on the true supremum; ties within
+    TIE_TOL resolve to the earliest start.
     """
     config = config or OptimizerConfig()
     dim, n_bases = ens.dim, ens.n_bases
@@ -813,7 +895,10 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     directions[:n_bases, dim:] = ens.vectors[:, :1]
     weights[n_bases:], directions[n_bases:] = _random_starts(dim, n_outcomes, config.seed, config.restarts)
 
-    return _search(ens, weights, directions, config, spectral_cap(ens))
+    upper = spectral_cap(ens)
+    if dim == 2:
+        upper = min(upper, _qubit_cap(ens))
+    return _search(ens, weights, directions, config, upper)
 
 
 def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -> IncompatibilityReport:
@@ -821,7 +906,7 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
 
     Reduces the set to a minimal noncommuting subset, builds its signal
     ensemble, maximizes the intercept-resend fidelity, and checks the
-    result against every applicable closed-form bound and the spectral cap.
+    result against every applicable closed-form bound and its upper bound.
     A bound violation means a numerical bug and raises BoundViolationError
     rather than being reported as data.
     """
@@ -851,7 +936,7 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
         raise BoundViolationError(f"incompatibility {q!r} above cap {q_large!r} {context}")
     upper = search.fidelity_upper
     if search.fidelity > upper + BOUND_SLACK:
-        raise BoundViolationError(f"fidelity {search.fidelity!r} above spectral cap {upper!r} {context}")
+        raise BoundViolationError(f"fidelity {search.fidelity!r} above its upper bound {upper!r} {context}")
     gap = upper - search.fidelity
 
     return IncompatibilityReport(
@@ -870,6 +955,7 @@ def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -
         iterations_used=search.iterations,
         restart_trace=search.restart_trace,
         start_sweeps=search.start_sweeps,
+        start_stops=search.start_stops,
         minimal_subset_labels=subset.labels,
         search_status="certified-within-gap" if gap <= GAP_TOL else "best-found-lower-bound",
     )

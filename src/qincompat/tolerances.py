@@ -43,6 +43,9 @@ BOUND_SLACK = 1e-9  # slack of the closed-form certificates on fidelity and inco
 SPECTRAL_CAP_SLACK = 1e-14  # rounding pad of the spectral cap on F, per unit of d^2: relative to lambda_max
 GAP_TOL = 1e-12  # cap minus best F at which a search stops and is certified-within-gap: absolute
 TIE_TOL = 1e-12  # fall below the best start's F within which an earlier start is reported: absolute
+# a see-saw start is retired once the best F leads its F by more than its largest recent gain per sweep,
+# kept up over every sweep left, plus this margin
+RETIRE_MARGIN = 1e-9  # lead of the best start's F over a start's F that retires it, beyond its reach: absolute
 
 # Entropic bound and its failure demonstration (entropic)
 PROB_FLOOR = 1e-15  # outcome probabilities at or below it add nothing to an entropy: absolute

@@ -151,10 +151,11 @@ def bound_certificate_suite(samples: int = 8, seed: int = 0) -> SuiteResult:
 
     Certificates are enforced inside :func:`incompatibility` itself, so a
     BoundViolationError escaping on some input counts as a failure, and so
-    does a fidelity above the report's spectral cap ``fidelity_upper``. The
-    complete set of d + 1 unbiased bases (d drawn from 2, 3 and 5, under a
-    random global unitary) must also come back ``certified-within-gap``,
-    since the cap is exact there.
+    does a fidelity above the report's upper bound ``fidelity_upper`` (the
+    spectral cap, or for d = 2 the exact qubit optimum where it is lower).
+    The complete set of d + 1 unbiased bases (d drawn from 2, 3 and 5, under
+    a random global unitary) must also come back ``certified-within-gap``,
+    since the spectral cap is exact there.
     """
     rng = np.random.default_rng((seed, 404))
     config = OptimizerConfig(restarts=4, seed=seed)
@@ -184,7 +185,7 @@ def bound_certificate_suite(samples: int = 8, seed: int = 0) -> SuiteResult:
             detail = f"incompatibility {report.incompatibility!r} out of range"
         elif report.optimal_fidelity > report.fidelity_upper + BOUND_SLACK:
             failures += 1
-            detail = f"fidelity {report.optimal_fidelity!r} above spectral cap {report.fidelity_upper!r}"
+            detail = f"fidelity {report.optimal_fidelity!r} above its upper bound {report.fidelity_upper!r}"
         elif certified and report.search_status != "certified-within-gap":
             failures += 1
             detail = f"complete unbiased set in d={dim} left at {report.search_status}"

@@ -100,9 +100,10 @@ class TestMeasureCommand:
         path = write_set(tmp_path, "mub32.json", mub_bases(3, 2))
         code, out, err = run(capsys, "measure", path, "--restarts", "2", "--max-iters", "3")
         assert code == 0
-        sweeps = json.loads(out)["start_sweeps"]
-        capped = sum(n == 3 for n in sweeps)
+        doc = json.loads(out)
+        capped = doc["start_stops"].count("max_iters")
         assert capped >= 1
+        assert all(n == 3 for n, stop in zip(doc["start_sweeps"], doc["start_stops"]) if stop == "max_iters")
         assert err == f"note: {capped} of 4 see-saw starts stopped at --max-iters 3 before converging\n"
         _, _, err = run(capsys, "measure", path, "--restarts", "2")
         assert err == ""
@@ -510,7 +511,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(optimizer, "BOUND_SLACK", 1.0)
         result = verify.bound_certificate_suite(samples=2)
         assert (result.checks, result.failures) == (3, 3)
-        assert "above spectral cap 0.25" in result.detail
+        assert "above its upper bound 0.25" in result.detail
         assert ("(seed 0, start" in result.detail) == raised
 
     def test_seed_is_echoed(self, capsys):

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -28,7 +29,7 @@ from qincompat.optimizer import (
     q_upper_bounds,
     see_saw,
 )
-from qincompat.tolerances import GAP_TOL, TIE_TOL, WEIGHT_PRUNE_EPS
+from qincompat.tolerances import GAP_TOL, RETIRE_MARGIN, TIE_TOL, WEIGHT_PRUNE_EPS
 from conftest import (
     one_random_povm,
     projective_povm,
@@ -64,7 +65,9 @@ def reference_see_saw(ens, initial, config):
     leaves the start as it was, and accepted with omega at 1, it is booked
     as a plain step that cannot stop the start. Returns (fidelity, sweeps,
     outcomes of the best point, the sweeps that rejected a weight candidate,
-    the sweeps that scored a merge).
+    the sweeps that scored a merge, the accepted fidelity after each sweep,
+    the gain booked at each sweep: 0 for a rejected candidate, the last one
+    for a rejected merge).
     """
     kets = ens.kets
     stack = ens.state_projectors
@@ -135,6 +138,7 @@ def reference_see_saw(ens, initial, config):
     kept = None
     omega, last_gain = 1.0, np.inf
     sweeps, tilted, merging, rejected, merges = 0, False, False, [], []
+    trace, booked = [], []
     for sweep in range(1, config.max_iters + 1):
         sweeps = sweep
         vals, vecs = np.linalg.eigh(phi(directions))
@@ -162,6 +166,8 @@ def reference_see_saw(ens, initial, config):
                 take = False
         if take:
             kept = (weights, directions, eta, value)
+        trace.append(kept[3])
+        booked.append(last_gain)
         if sweep == config.max_iters or (not relaxed and gain < config.convergence_eps):
             break
         tilted = merging = False
@@ -182,7 +188,7 @@ def reference_see_saw(ens, initial, config):
             if merge is not None:
                 weights, directions = merge
                 merging = True
-    return best_value, sweeps, best_outcomes, rejected, merges
+    return best_value, sweeps, best_outcomes, rejected, merges, trace, booked
 
 
 def search_starts(ens, config):
@@ -395,19 +401,25 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(linalg, "_warm_top_eig", counted)
         monkeypatch.setattr(linalg, "_eigh_top", counted_eigh)
-        rejections, merged_dims = 0, set()
+        rejections, merged_dims, retired = 0, set(), 0
         for ens in self.ensembles():
             search = optimal_fidelity(ens, self.CONFIG)
             starts = search_starts(ens, self.CONFIG)
-            assert len(search.start_sweeps) == len(starts)
+            assert len(search.start_sweeps) == len(search.start_stops) == len(starts)
             assert search.iterations == sum(search.start_sweeps)
             for index, start in enumerate(starts):
-                value, sweeps, _, rejected, merged = reference_see_saw(ens, start, self.CONFIG)
+                value, sweeps, _, rejected, merged, trace, booked = reference_see_saw(ens, start, self.CONFIG)
                 alone = see_saw(ens, start, self.CONFIG)
-                assert search.start_sweeps[index] == sweeps == alone.iterations
-                assert abs(search.restart_trace[index] - value) <= 1e-12
-                assert abs(alone.fidelity - search.restart_trace[index]) <= 1e-12
+                assert alone.iterations == sweeps and alone.start_stops != ("retired",)
+                assert abs(alone.fidelity - value) <= 1e-12
                 assert len(alone.traces[0]) == sweeps
+                if search.start_stops[index] == "retired":
+                    retired += 1
+                    self.check_retired(search, index, trace, booked)
+                    rejected = [sweep for sweep in rejected if sweep <= search.start_sweeps[index]]
+                else:
+                    assert search.start_sweeps[index] == sweeps
+                    assert abs(search.restart_trace[index] - value) <= 1e-12
                 # a rejected weight candidate leaves the accepted fidelity where it was; the next
                 # sweep scores the plain step from there, as the reference does
                 for sweep in rejected:
@@ -416,11 +428,25 @@ class TestBatchedKernel:
                 rejections += len(rejected)
                 if merged:
                     merged_dims.add(ens.dim)
-        assert rejections > 0
+        assert rejections > 0 and retired > 0
         # the random starts merge outcomes at every d
         assert merged_dims == {2, 3, 4, 5, 6}
         # every row of most warm calls is served by its guess or its steps
         assert sum(rows == 0 for rows in to_eigh) > 100
+
+    def check_retired(self, search, index, trace, booked):
+        """A retired start follows the reference up to its retirement sweep t, and at t it cannot catch up.
+
+        At t the best fidelity any start had reached leads its own by more than RETIRE_MARGIN plus its
+        largest booked gain of the last MERGE_EVERY sweeps, gained again at every sweep left.
+        """
+        t = search.start_sweeps[index]
+        assert optimizer.MERGE_EVERY < t < len(trace)
+        np.testing.assert_allclose(search.traces[index], trace[:t], rtol=0.0, atol=1e-12)
+        assert abs(search.restart_trace[index] - max(trace[:t])) <= 1e-12
+        best = max(float(np.max(other[:t])) for other in search.traces)
+        reach = max(booked[t - optimizer.MERGE_EVERY : t]) * (self.CONFIG.max_iters - t)
+        assert best - search.traces[index][t - 1] > RETIRE_MARGIN + reach
 
     def test_sweep_one_takes_no_rayleigh_step(self, monkeypatch):
         # at sweep 1 a row's guess is its own measurement direction: exact on a 2-design, far off on a
@@ -445,7 +471,7 @@ class TestBatchedKernel:
             weights=np.array([1.0 - tiny, 1.0, 1.0, tiny]),
             directions=np.concatenate([ens.vectors[0], ens.vectors[0][:1]]),
         )
-        value, sweeps, left, _, _ = reference_see_saw(ens, start, config)
+        value, sweeps, left, *_ = reference_see_saw(ens, start, config)
         assert left == 3 < start.n_outcomes
         alone = see_saw(ens, start, config)
         assert alone.iterations == sweeps
@@ -460,13 +486,14 @@ class TestBatchedKernel:
         runs = _see_saw_batch(ens, weights, directions, config)
         assert runs.sweeps[0] == sweeps
         assert abs(runs.fidelity[0] - value) <= 1e-12
-        mate_value, mate_sweeps, _, _, _ = reference_see_saw(ens, mate, config)
+        mate_value, mate_sweeps, *_ = reference_see_saw(ens, mate, config)
         assert runs.sweeps[1] == mate_sweeps
         assert abs(runs.fidelity[1] - mate_value) <= 1e-12
 
     def test_prune_error_names_start_and_sweep(self, monkeypatch):
+        # on two unbiased qutrit bases the cap is loose, so sweep 1 is followed by a step
         monkeypatch.setattr(optimizer, "WEIGHT_PRUNE_EPS", 10.0)
-        ens = signal_ensemble(mub_bases(2, 2))
+        ens = signal_ensemble(mub_bases(3, 2))
         with pytest.raises(SingularUpdateError, match=r"all outcomes pruned .*\(start 0, sweep 1\)"):
             optimal_fidelity(ens, OptimizerConfig(restarts=1))
 
@@ -534,32 +561,44 @@ class TestBasisStretch:
         return random_ensemble(3, 2, np.random.default_rng(21))
 
     def test_basis_starts_stop_sooner_and_no_lower(self):
-        search = optimal_fidelity(self.ensemble(), FAST)
-        assert search.start_sweeps[2:] == self.RANDOM_SWEEPS
+        # each basis start run alone, where no better start retires it
+        ens = self.ensemble()
+        search = optimal_fidelity(ens, FAST)
+        # the last random start trails the best by more than it can still gain, and retires a sweep early
+        assert search.start_sweeps[2:] == self.RANDOM_SWEEPS[:3] + (67,)
+        assert search.start_stops[2:] == ("converged",) * 3 + ("retired",)
         assert search.fidelity == max(search.restart_trace[2:]) >= self.UNMERGED_RANDOM_BEST
-        for sweeps, plain_sweeps, value, plain_value in zip(
-            search.start_sweeps, self.PLAIN_BASIS_SWEEPS, search.restart_trace, self.PLAIN_BASIS_FIDELITY
-        ):
-            assert sweeps < plain_sweeps
-            assert value >= plain_value - 1e-12
+        for basis, plain_sweeps, plain_value in zip(ens.vectors, self.PLAIN_BASIS_SWEEPS, self.PLAIN_BASIS_FIDELITY):
+            alone = see_saw(ens, projective_povm(Eigenbasis(basis)), FAST)
+            assert alone.start_stops == ("converged",)
+            assert alone.iterations < plain_sweeps
+            assert alone.fidelity >= plain_value - 1e-12
 
     def test_only_tilted_starts_build_a_weight_candidate(self, monkeypatch):
-        # a candidate is built only on sweeps where a start with more than d outcomes has omega > 1
+        # a candidate is built only for the starts with more than d outcomes and omega > 1, and each of
+        # its rows has the bits it has when built alone
         calls = []
         over_relaxed = optimizer._over_relaxed
 
         def counted(weights, directions, factors, omega):
-            calls.append(bool(np.any((omega > 1.0) & (np.count_nonzero(weights, axis=1) > directions.shape[2]))))
-            return over_relaxed(weights, directions, factors, omega)
+            calls.append(len(weights))
+            assert np.all(omega > 1.0) and np.all(np.count_nonzero(weights, axis=1) > directions.shape[2])
+            built = over_relaxed(weights, directions, factors, omega)
+            for row in range(len(weights)):
+                alone = over_relaxed(*(a[row : row + 1].copy() for a in (weights, directions, factors, omega)))
+                for array, row_alone in zip(built, alone):
+                    np.testing.assert_array_equal(array[row], row_alone[0])
+            return built
 
         monkeypatch.setattr(optimizer, "_over_relaxed", counted)
         ens = self.ensemble()
         search = optimal_fidelity(ens, FAST)
-        assert calls and all(calls)
+        # most candidates are built for fewer rows than the 4 random starts
+        assert calls and sum(rows < FAST.restarts for rows in calls) > len(calls) / 2
         calls.clear()
         alone = see_saw(ens, projective_povm(Eigenbasis(ens.vectors[0])), FAST)
         assert calls == []
-        assert alone.iterations == search.start_sweeps[0] < self.PLAIN_BASIS_SWEEPS[0]
+        assert alone.iterations < self.PLAIN_BASIS_SWEEPS[0]
 
     def test_stretch_that_is_not_a_measurement_gives_way_to_the_plain_step(self, monkeypatch):
         # every stretched step made rank 1, so it loses completeness: each basis start falls back
@@ -572,11 +611,16 @@ class TestBasisStretch:
             return np.where(stretched[:, None, None], pulled[:, :1], pulled)
 
         monkeypatch.setattr(optimizer, "_stretched", rank_one)
-        search = optimal_fidelity(self.ensemble(), FAST)
+        ens = self.ensemble()
+        search = optimal_fidelity(ens, FAST)
         assert sum(fallbacks) > 0
-        assert search.start_sweeps == self.PLAIN_BASIS_SWEEPS + self.RANDOM_SWEEPS
-        for value, plain_value in zip(search.restart_trace, self.PLAIN_BASIS_FIDELITY):
-            assert abs(value - plain_value) <= 1e-12
+        assert search.start_sweeps[2:] == self.RANDOM_SWEEPS[:3] + (67,)
+        # in the search the random starts retire the basis starts; alone, each runs its plain course
+        assert search.start_stops[:2] == ("retired",) * 2
+        for basis, plain_sweeps, plain_value in zip(ens.vectors, self.PLAIN_BASIS_SWEEPS, self.PLAIN_BASIS_FIDELITY):
+            alone = see_saw(ens, projective_povm(Eigenbasis(basis)), FAST)
+            assert alone.iterations == plain_sweeps
+            assert abs(alone.fidelity - plain_value) <= 1e-12
 
 
 class TestOutcomeMerge:
@@ -1051,12 +1095,13 @@ class TestSpectralCap:
 
     @pytest.mark.parametrize(
         "dim, seed, sweeps",
-        [(3, 21, (78, 78, 187, 180, 100, 68)), (4, 22, (37, 37, 48, 43, 48, 53))],
+        [(3, 21, (49, 49, 187, 180, 100, 67)), (4, 22, (37, 37, 48, 43, 48, 53))],
     )
     def test_random_sets_keep_their_search(self, dim, seed, sweeps):
-        # the cap is loose here, so no start stops early; the d = 3 basis starts stop at 78 sweeps
-        # because they stretch their directions (see TestBasisStretch), and the random starts merge
-        # their outcomes (see TestOutcomeMerge)
+        # the cap is loose here, so no start stops at it; the d = 3 basis starts, which would converge at
+        # 78 sweeps as they stretch their directions (see TestBasisStretch), trail the random starts by
+        # more than they can gain and retire at sweep 49, as does the last random start at 67, a sweep
+        # before it would converge; the random starts merge their outcomes (see TestOutcomeMerge)
         rng = np.random.default_rng(seed)
         report = incompatibility(ObservableSet(tuple(random_basis(dim, rng, f"r{i}") for i in range(2))), FAST)
         assert report.start_sweeps == sweeps
@@ -1117,8 +1162,111 @@ class TestSpectralCap:
     def test_fidelity_above_the_cap_raises(self, monkeypatch):
         config = OptimizerConfig(restarts=2, seed=5)
         monkeypatch.setattr(optimizer, "spectral_cap", lambda ens: 0.5)
-        with pytest.raises(BoundViolationError, match=r"above spectral cap 0\.5 \(seed 5, start 0\)$"):
+        with pytest.raises(BoundViolationError, match=r"above its upper bound 0\.5 \(seed 5, start 0\)$"):
             incompatibility(mub_bases(3, 2), config)
+
+
+class TestRetire:
+    """A start that trails the best by more than it can still gain leaves the batch, and F keeps its bits."""
+
+    @staticmethod
+    def ensemble():
+        # a qutrit pair whose basis starts, run alone, take 86 and 79 sweeps to end 5.1e-3 below the best
+        # random start, which converges at sweep 34
+        return random_ensemble(3, 2, np.random.default_rng(34))
+
+    def test_trailing_basis_starts_retire(self):
+        ens = self.ensemble()
+        search = optimal_fidelity(ens, FAST)
+        assert search.start_stops == ("retired",) * 2 + ("converged",) * 4
+        alone = [see_saw(ens, projective_povm(Eigenbasis(basis)), FAST) for basis in ens.vectors]
+        for sweeps, start in zip(search.start_sweeps, alone):
+            assert optimizer.MERGE_EVERY < sweeps < start.iterations
+            assert search.fidelity - start.fidelity > 5e-3
+        # without them the batch stops at its slowest random start, 78 sweeps, not at 86
+        assert max(search.start_sweeps) == max(search.start_sweeps[2:]) == 78 < alone[0].iterations == 86
+
+    def test_winner_keeps_the_bits_it_has_alone(self):
+        ens = self.ensemble()
+        search = optimal_fidelity(ens, FAST)
+        winner = search_starts(ens, FAST)[search.best_start]
+        alone = see_saw(ens, winner, FAST)
+        assert search.best_start >= ens.n_bases
+        assert search.fidelity == alone.fidelity
+        assert search_bytes(search)[0] == search_bytes(alone)[0]
+
+    def test_lone_start_is_never_retired(self, monkeypatch):
+        # a start is its own best, so it trails nothing, even with no margin and no sweeps left to gain in
+        monkeypatch.setattr(optimizer, "RETIRE_MARGIN", 0.0)
+        ens = self.ensemble()
+        alone = see_saw(ens, projective_povm(Eigenbasis(ens.vectors[0])), OptimizerConfig(max_iters=100))
+        assert alone.start_stops == ("converged",) and alone.iterations == 86
+
+    def test_young_starts_are_never_retired(self, monkeypatch):
+        # with an infinite lead to catch up, every start retires at the first sweep that may retire it
+        monkeypatch.setattr(optimizer, "RETIRE_MARGIN", -math.inf)
+        search = optimal_fidelity(self.ensemble(), FAST)
+        assert search.start_sweeps == (optimizer.MERGE_EVERY + 1,) * 6
+        assert search.start_stops == ("retired",) * 6
+
+
+class TestStopReasons:
+    """Each start records why it stopped: converged, max_iters, cap or retired."""
+
+    def test_complete_set_stops_every_start_at_the_cap(self):
+        search = optimal_fidelity(signal_ensemble(mub_bases(3, 4)), FAST)
+        assert search.start_stops == ("cap",) * 8
+
+    def test_sweep_limit(self):
+        search = optimal_fidelity(signal_ensemble(mub_bases(3, 2)), OptimizerConfig(restarts=2, max_iters=3))
+        assert set(search.start_stops) <= {"max_iters", "converged"} and "max_iters" in search.start_stops
+        for sweeps, stop in zip(search.start_sweeps, search.start_stops):
+            assert sweeps == 3 or stop == "converged"
+
+    def test_report_carries_the_search_stops(self):
+        rng = np.random.default_rng(34)
+        report = incompatibility(ObservableSet(tuple(random_basis(3, rng, f"r{i}") for i in range(2))), FAST)
+        assert report.start_stops == ("retired",) * 2 + ("converged",) * 4
+        assert len(report.start_stops) == len(report.start_sweeps) == len(report.restart_trace)
+
+
+class TestQubitCap:
+    """For d = 2 the search stops on the exact optimum 1/2 + lambda_max(K)/(2S), where the spectral cap is loose."""
+
+    @staticmethod
+    def ensembles():
+        rng = np.random.default_rng(2024)
+        return [random_ensemble(2, int(rng.integers(2, 4)), rng) for _ in range(200)]
+
+    def test_cap_is_the_closed_form(self, monkeypatch):
+        ensembles = self.ensembles()
+        padded = [optimizer._qubit_cap(ens) for ens in ensembles]
+        monkeypatch.setattr(optimizer, "SPECTRAL_CAP_SLACK", 0.0)
+        for ens, cap in zip(ensembles, padded):
+            exact = qubit_fidelity_optimum(ens)
+            assert abs(optimizer._qubit_cap(ens) - exact) <= 1e-15
+            assert exact < cap <= exact + 1e-13
+
+    def test_fidelity_never_exceeds_the_cap(self):
+        certified = 0
+        for ens in self.ensembles():
+            search = optimal_fidelity(ens, FAST)
+            cap = optimizer._qubit_cap(ens)
+            assert search.fidelity_upper == min(cap, optimizer.spectral_cap(ens))
+            assert search.fidelity <= cap
+            certified += search.fidelity_upper - search.fidelity <= GAP_TOL
+        assert certified > 100
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_random_pairs_are_certified(self, seed):
+        rng = np.random.default_rng(seed)
+        obs = ObservableSet((random_basis(2, rng, "a"), random_basis(2, rng, "b")))
+        exact = qubit_fidelity_optimum(signal_ensemble(obs))
+        report = incompatibility(obs, FAST)
+        assert report.search_status == "certified-within-gap"
+        assert abs(report.fidelity_upper - exact) <= 1e-13
+        assert abs(report.optimal_fidelity - exact) <= 1e-12
+        assert "cap" in report.start_stops
 
 
 class TestBoundViolationContext:
