@@ -234,7 +234,8 @@ def parse_observable_set(doc: dict, config: OptimizerConfig | None = None) -> Ob
     eigenbases are well defined. The document is read and checked in
     one batched pass: one array of all items, one eigendecomposition of all
     observables (:func:`eigenbasis_rows`), then one :func:`basis_checks` of
-    every member, at 1e-10 for eigenbases and 1e-9 for basis items. The
+    every member, at 1e-10 for eigenbases and 1e-9 for basis items, then
+    distinct labels, a missing one reading ``item-<i>``. The
     error raised is that of the first item, in document order, that fails
     any check. Given the ``config`` the set will be searched with, a search
     too large for the see-saw (:func:`check_kernel_size`, counting every
@@ -289,6 +290,11 @@ def parse_observable_set(doc: dict, config: OptimizerConfig | None = None) -> Ob
         else:
             failures[k] = InputFormatError(f"items[{k}].vectors: {exc}")
             failures[k].__cause__ = exc
+    # a repeated label is an item's last check
+    first: dict[str, int] = {}
+    for k, label in enumerate(labels[: len(rows)]):
+        if first.setdefault(label, k) != k:
+            failures.setdefault(k, InputFormatError(f"items[{k}].label: {label!r} repeats items[{first[label]}].label"))
     if failures:
         raise failures[min(failures)]
     if error is not None:

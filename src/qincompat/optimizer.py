@@ -7,10 +7,10 @@ ensemble. The supremum over measurements has no closed form in general, so
 eigenbasis measurement plus a configurable number of random starts, and
 reports the best value found. That value is always a certified lower bound
 on the true supremum (every iterate is an actual strategy). Every set also
-gets a rigorous upper bound: the spectral cap of :func:`spectral_cap`,
-which is exact on complete sets of unbiased bases, and for d = 2 the lower
-of it and the exact qubit optimum 1/2 + lambda_max(K)/(2S) of
-:func:`_qubit_cap`. The search stops as soon as its best start comes within
+gets a rigorous upper bound: the collision-sum cap of :func:`collision_cap`,
+which is exact on every set of unbiased bases, every qubit set and every
+shared-eigenvector pair, or the spectral cap of :func:`spectral_cap` where
+that is lower. The search stops as soon as its best start comes within
 GAP_TOL of the bound, and the report then reads ``certified-within-gap``.
 Starts whose values differ by at most TIE_TOL are tied, and the earliest of
 them is reported, so float noise does not pick the strategy. Closed-form
@@ -22,8 +22,7 @@ bounds are checked as well:
   accessible-fidelity floor 2/(d + 1) (Fuchs) for pure-state ensembles,
 * for mutually unbiased bases both the fidelity and the measure are known
   exactly, and the projective baseline attains them,
-* fidelity is at most the spectral cap, and on qubits at most the exact
-  optimum.
+* fidelity is at most the collision-sum cap and the spectral cap.
 
 All starts run in lock step (:func:`_see_saw_batch`). Their state is one
 record, :class:`_Batch`, with a row per active start: the kept point,
@@ -98,7 +97,9 @@ from .observables import (
     signal_ensemble,
 )
 from .tolerances import (
+    BLOCK_SPLIT_TOL,
     BOUND_SLACK,
+    COLLISION_CAP_SLACK,
     COMPLETENESS_TOL,
     CONVERGENCE_EPS,
     GAP_TOL,
@@ -217,8 +218,8 @@ class FidelitySearch:
     strategy is reported: the earliest whose value is within TIE_TOL of the
     best. ``traces[s]`` holds the accepted fidelity of start s after each of
     its sweeps. ``fidelity_upper`` is the upper bound the search stopped
-    against: the spectral cap, or for d = 2 the exact qubit optimum when
-    that is lower; inf when it was given none.
+    against: the collision-sum cap, or the spectral cap when that is lower;
+    inf when it was given none.
     """
 
     fidelity: float
@@ -243,8 +244,8 @@ class IncompatibilityReport:
     docstring (the small-N form is tight for N <= d + 1, the large-N form
     for N >= d + 1, equal at N = d + 1); ``fuchs_floor`` is 2/(d + 1).
     ``fidelity_upper`` is the upper bound on the true supremum that the
-    search stopped against: the spectral cap, or for d = 2 the lower of it
-    and the exact qubit optimum, both padded for rounding.
+    search stopped against: the collision-sum cap, or the spectral cap where
+    that is lower, both padded for rounding.
     ``optimality_gap`` is fidelity_upper - optimal_fidelity.
     ``search_status`` is ``certified-within-gap`` when that gap is at most
     GAP_TOL (1e-12), so the reported fidelity is optimal to within it, and
@@ -318,21 +319,86 @@ def spectral_cap(ens: SignalEnsemble) -> float:
     return top * (1.0 + SPECTRAL_CAP_SLACK * dim * dim) / ens.n_bases
 
 
-def _qubit_cap(ens: SignalEnsemble) -> float:
-    """The exact optimum 1/2 + lambda_max(K)/(2S) on the fidelity of a qubit set, padded as :func:`spectral_cap` is.
+def collision_cap(ens: SignalEnsemble) -> tuple[float, bool]:
+    """Upper bound on the fidelity of every strategy from the collision sums, and whether the bases attain it.
 
-    K = sum_k u_k u_k^T over the Bloch axes u_k of the S signal kets. Since
-    each basis's axes sum to zero, a strategy measuring {m_a, n_a} and
-    resending along r_a scores 1/2 + sum_a m_a n_a^T K r_a/(4S), at most
-    1/2 + lambda_max(K)/(2S) as the weights sum to 2; measuring along K's
-    top eigenvector attains it (the test suite's conftest works this
-    through). Applies to d = 2 only.
+    Write Q_k = P_k - I/d for the traceless parts of the N d signal
+    projectors, G_kl = Tr(Q_k Q_l) = |<v_k|v_l>|^2 - 1/d for their
+    Hilbert-Schmidt Gram matrix and mu = lambda_max(G). Each basis resolves
+    the identity (the assumption of every closed form here), so
+    sum_k Tr(rho Q_k) = 0, and a pure state rho, with ||rho - I/d||^2 =
+    1 - 1/d, has sum_k Tr(rho P_k)^2 = N/d + sum_k Tr((rho - I/d) Q_k)^2
+    <= N/d + mu (1 - 1/d). A strategy of rank-1 elements m_a chi_a
+    chi_a^dagger resending eta_a scores F = (1/Nd) sum_a m_a sum_k
+    p_k(chi_a) p_k(eta_a), p_k = |<v_k|.>|^2; Cauchy-Schwarz on each inner
+    sum and sum_a m_a = d give F <= (N + mu (d - 1))/(N d).
+
+    When the kets split into mutually orthogonal blocks, each taking the same
+    count d_b from every basis (a shared eigenvector, a direct sum), the
+    same argument runs on each block's span with Gram matrix
+    |<v_k|v_l>|^2 - 1/d_b: the part of chi_a in block b, of squared norm
+    t_ab with sum_a m_a t_ab = d_b, gives F <= sum_b (d_b/d) cap_b, cap_b =
+    (N + mu_b (d_b - 1))/(N d_b). Kets join a block when they overlap by
+    more than BLOCK_SPLIT_TOL; a split in which some basis gives a block
+    another count is dropped for one block.
+
+    The cap is exact on every set of unbiased bases (mu = 1, the projective
+    floor), on every qubit set (mu = lambda_max(K)/2 over the Bloch axes,
+    giving 1/2 + lambda_max(K)/(2S)) and on shared-eigenvector pairs
+    (1/2 + 1/d). Each mu_b is padded by COLLISION_CAP_SLACK * n_b of itself
+    for rounding, n_b the block's ket count. Where a block's Gram matrix is
+    within that pad, in Frobenius norm, of the one of unbiased bases (I -
+    J/d_b within each basis, 0 across bases, top eigenvalue 1), Weyl's
+    inequality puts mu_b within it of 1, and no eigenvalue is computed. A
+    split adds 8 d n a for the largest overlap a across blocks: kets of
+    exactly orthogonal blocks lie within n a of the given ones, and F and the
+    cap move by at most 4 d per unit of ket error. The flag is True when
+    every mu_b is at most 1 up to its pad: each basis vector, resent as
+    measured, then scores its block's cap, so the projective starts attain
+    the cap at sweep 1 and no bound can be lower.
     """
-    up, down = ens.kets[:, 0], ens.kets[:, 1]
-    cross = up.conj() * down
-    axes = np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(down) ** 2], axis=1)
-    top = float(np.linalg.eigvalsh(axes.T @ axes)[-1])
-    return 0.5 + top * (1.0 + SPECTRAL_CAP_SLACK * 2 * 2) / (2 * ens.n_states)
+    dim, n_bases, n = ens.dim, ens.n_bases, ens.n_states
+    overlaps = np.abs(ens.kets.conj() @ ens.kets.T) ** 2
+    blocks = _blocks(overlaps > BLOCK_SPLIT_TOL**2, dim)
+    split = blocks.any()
+    cross = 8.0 * dim * n * math.sqrt(float(overlaps[blocks[:, None] != blocks].max())) if split else 0.0
+    total, attained = 0.0, True
+    for block in range(blocks.max() + 1):
+        members = np.flatnonzero(blocks == block)
+        size = len(members) // n_bases
+        gram = (overlaps[np.ix_(members, members)] if split else overlaps) - 1.0 / size
+        pad = 1.0 + COLLISION_CAP_SLACK * len(members)
+        basis = members // dim
+        unbiased = np.where(basis[:, None] == basis, linalg.identity(len(members)) - 1.0 / size, 0.0)
+        if np.linalg.norm(gram - unbiased) <= pad - 1.0:
+            top = 1.0
+        else:
+            # solved as a complex Hermitian matrix: the real symmetric solver is a second LAPACK path, whose
+            # first call adds 0.25 MB to the process, while the Hermitian one is the see-saw's own
+            top = float(np.linalg.eigvalsh(gram.astype(complex))[-1])
+            attained &= size == 1 or top <= pad
+        total += n_bases + top * pad * (size - 1)
+    return total / (n_bases * dim) + cross, attained
+
+
+def _blocks(joined: np.ndarray, dim: int) -> np.ndarray:
+    """Each ket's connected component of ``joined``, numbered from 0; all 0 if some basis gives one another count.
+
+    ``joined`` holds its diagonal, so each product with it can only widen a component.
+    """
+    n = len(joined)
+    blocks = np.full(n, -1)
+    for first in range(n):
+        if blocks[first] >= 0:
+            continue
+        reach = joined[first]
+        while np.count_nonzero(wider := reach @ joined) > np.count_nonzero(reach):
+            reach = wider
+        size = np.count_nonzero(reach)
+        if size == n or np.any(np.bincount(np.flatnonzero(reach) // dim, minlength=n // dim) * (n // dim) != size):
+            return np.zeros(n, dtype=int)
+        blocks[reach] = blocks.max() + 1
+    return blocks
 
 
 def _norms(x: np.ndarray, axis: int | tuple[int, int]) -> np.ndarray:
@@ -878,8 +944,10 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     (:func:`_random_starts`). All starts are copied into one lock-step
     batch; the projective ones are padded to that outcome count with
     weight-0 outcomes. The batch stops once its best start is within
-    GAP_TOL of :func:`spectral_cap`, or for d = 2 of the lower of it and
-    :func:`_qubit_cap`, which the result carries as ``fidelity_upper``.
+    GAP_TOL of :func:`collision_cap`, or of :func:`spectral_cap` where that
+    is lower, which the result carries as ``fidelity_upper``. The spectral
+    cap is computed only where the projective starts do not attain the
+    collision-sum cap, since no bound is lower than what they attain.
     The reported value is a lower bound on the true supremum; ties within
     TIE_TOL resolve to the earliest start.
     """
@@ -895,9 +963,9 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     directions[:n_bases, dim:] = ens.vectors[:, :1]
     weights[n_bases:], directions[n_bases:] = _random_starts(dim, n_outcomes, config.seed, config.restarts)
 
-    upper = spectral_cap(ens)
-    if dim == 2:
-        upper = min(upper, _qubit_cap(ens))
+    upper, attained = collision_cap(ens)
+    if not attained:
+        upper = min(upper, spectral_cap(ens))
     return _search(ens, weights, directions, config, upper)
 
 

@@ -41,6 +41,9 @@ BOUND_SLACK = 1e-9  # slack of the closed-form certificates on fidelity and inco
 # eigvalsh is backward stable: its lambda_max of the d^2 x d^2 matrix sum_k P_k (x) P_k is off by
 # a small multiple of n * eps * lambda_max, n = d^2; the cap adds this many units of d^2 * lambda_max
 SPECTRAL_CAP_SLACK = 1e-14  # rounding pad of the spectral cap on F, per unit of d^2: relative to lambda_max
+# the same for the top eigenvalue mu_b of the n_b x n_b Gram matrix of a block of the collision-sum cap
+COLLISION_CAP_SLACK = 1e-14  # rounding pad of the collision-sum cap on mu_b, per unit of n_b: relative to mu_b
+BLOCK_SPLIT_TOL = 1e-6  # largest |<v_k|v_l>| of signal kets in different blocks of the collision-sum cap: absolute
 GAP_TOL = 1e-12  # cap minus best F at which a search stops and is certified-within-gap: absolute
 TIE_TOL = 1e-12  # fall below the best start's F within which an earlier start is reported: absolute
 # a see-saw start is retired once the best F leads its F by more than its largest recent gain per sweep,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .entropic import shared_eigenvector_pair
 from .errors import BoundViolationError, DegenerateSpectrumError
 from .fidelity import (
     Povm,
@@ -147,15 +148,17 @@ def map_contract_suite(samples: int = 100, seed: int = 0) -> SuiteResult:
 
 
 def bound_certificate_suite(samples: int = 8, seed: int = 0) -> SuiteResult:
-    """Run the full measure on random sets and one complete unbiased set; every certificate must hold.
+    """Run the full measure on random sets and three exactly capped sets; every certificate must hold.
 
     Certificates are enforced inside :func:`incompatibility` itself, so a
     BoundViolationError escaping on some input counts as a failure, and so
     does a fidelity above the report's upper bound ``fidelity_upper`` (the
-    spectral cap, or for d = 2 the exact qubit optimum where it is lower).
-    The complete set of d + 1 unbiased bases (d drawn from 2, 3 and 5, under
-    a random global unitary) must also come back ``certified-within-gap``,
-    since the spectral cap is exact there.
+    collision-sum cap, or the spectral cap where it is lower). Three sets,
+    each under a random global unitary, must also come back
+    ``certified-within-gap``, since the collision-sum cap is exact on them:
+    the complete set of d + 1 unbiased bases (d drawn from 2, 3 and 5), a
+    partial set of 2 to d unbiased bases (d drawn from 3, 5 and 7) and the
+    shared-eigenvector pair (d drawn from 3 to 6).
     """
     rng = np.random.default_rng((seed, 404))
     config = OptimizerConfig(restarts=4, seed=seed)
@@ -163,16 +166,19 @@ def bound_certificate_suite(samples: int = 8, seed: int = 0) -> SuiteResult:
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
         count = int(rng.integers(2, 4))
-        sets.append((random_observable_set(dim, count, rng), False))
+        sets.append((random_observable_set(dim, count, rng), ""))
     dim = int(rng.choice([2, 3, 5]))
-    turn = random_eigenbasis(dim, rng).vectors
-    complete = tuple(Eigenbasis(b.vectors @ turn, label=b.label) for b in mub_bases(dim, dim + 1).members)
-    sets.append((ObservableSet(complete), True))
+    sets.append((_turned(mub_bases(dim, dim + 1).members, rng), f"complete unbiased set in d={dim}"))
+    dim = int(rng.choice([3, 5, 7]))
+    count = int(rng.integers(2, dim + 1))
+    sets.append((_turned(mub_bases(dim, count).members, rng), f"{count} unbiased bases in d={dim}"))
+    dim = int(rng.integers(3, 7))
+    sets.append((_turned(shared_eigenvector_pair(dim), rng), f"shared-eigenvector pair in d={dim}"))
 
     checks = 0
     failures = 0
     detail = ""
-    for obs, certified in sets:
+    for obs, must_certify in sets:
         checks += 1
         try:
             report = incompatibility(obs, config)
@@ -186,10 +192,16 @@ def bound_certificate_suite(samples: int = 8, seed: int = 0) -> SuiteResult:
         elif report.optimal_fidelity > report.fidelity_upper + BOUND_SLACK:
             failures += 1
             detail = f"fidelity {report.optimal_fidelity!r} above its upper bound {report.fidelity_upper!r}"
-        elif certified and report.search_status != "certified-within-gap":
+        elif must_certify and report.search_status != "certified-within-gap":
             failures += 1
-            detail = f"complete unbiased set in d={dim} left at {report.search_status}"
+            detail = f"{must_certify} left at {report.search_status}"
     return SuiteResult("bound-certificates", checks, failures, detail)
+
+
+def _turned(members, rng: np.random.Generator) -> ObservableSet:
+    """The bases ``members`` under one random global unitary."""
+    turn = random_eigenbasis(members[0].dim, rng).vectors
+    return ObservableSet(tuple(Eigenbasis(b.vectors @ turn, label=b.label) for b in members))
 
 
 ALL_SUITES = {

@@ -97,7 +97,8 @@ class TestMeasureCommand:
         assert sum(doc["start_sweeps"]) == doc["iterations_used"]
 
     def test_capped_starts_are_noted_on_stderr(self, tmp_path, capsys):
-        path = write_set(tmp_path, "mub32.json", mub_bases(3, 2))
+        rng = np.random.default_rng(21)
+        path = write_set(tmp_path, "r3.json", ObservableSet(tuple(random_basis(3, rng, f"r{i}") for i in range(2))))
         code, out, err = run(capsys, "measure", path, "--restarts", "2", "--max-iters", "3")
         assert code == 0
         doc = json.loads(out)
@@ -493,24 +494,25 @@ class TestVerifyCommand:
         assert len(doc["suites"]) == 4
 
     def test_bound_certificates_sample_a_certified_complete_set(self, capsys):
+        # 2 random sets, then a complete unbiased set, a partial one and a shared-eigenvector pair
         code, out, _ = run(capsys, "verify", "--suite", "bound-certificates", "--samples", "2")
         assert code == 0
         [suite] = json.loads(out)["suites"]
-        assert (suite["checks"], suite["failures"]) == (3, 0)
+        assert (suite["checks"], suite["failures"]) == (5, 0)
 
     def test_bound_certificates_count_an_uncertified_complete_set(self, monkeypatch):
         monkeypatch.setattr(optimizer, "GAP_TOL", -1.0)  # no search can be certified
         result = verify.bound_certificate_suite(samples=2)
-        assert (result.checks, result.failures) == (3, 1)
-        assert result.detail.startswith("complete unbiased set in d=")
+        assert (result.checks, result.failures) == (5, 3)
+        assert result.detail.startswith("shared-eigenvector pair in d=")
 
     @pytest.mark.parametrize("raised", [True, False])
     def test_bound_certificates_count_a_fidelity_above_the_cap(self, monkeypatch, raised):
-        monkeypatch.setattr(optimizer, "spectral_cap", lambda ens: 0.25)
+        monkeypatch.setattr(optimizer, "collision_cap", lambda ens: (0.25, True))
         if not raised:  # the suite's own check, should incompatibility() let the report through
             monkeypatch.setattr(optimizer, "BOUND_SLACK", 1.0)
         result = verify.bound_certificate_suite(samples=2)
-        assert (result.checks, result.failures) == (3, 3)
+        assert (result.checks, result.failures) == (5, 5)
         assert "above its upper bound 0.25" in result.detail
         assert ("(seed 0, start" in result.detail) == raised
 
@@ -566,7 +568,7 @@ class TestReportBytes:
             (3, 2, 0, 3),  # a projective start is best: d outcomes
             (5, 2, 0, 5),
             (7, 2, 0, 7),
-            (3, 4, 2, 3),  # complete sets meet the spectral cap at sweep 1: the first projective start
+            (3, 4, 2, 3),  # every unbiased set meets its cap at sweep 1: the first projective start
             (5, 6, 0, 5),
             (7, 8, 0, 7),
         ],
@@ -580,8 +582,8 @@ class TestReportBytes:
         assert code == 0
         [doc] = emitted
         assert len(doc["best_povm"]["weights"]) == outcomes
-        complete = n_bases == dim + 1
-        assert doc["search_status"] == ("certified-within-gap" if complete else "best-found-lower-bound")
+        assert doc["search_status"] == "certified-within-gap"
+        assert doc["start_sweeps"] == [1] * (n_bases + 2)
         assert target.read_bytes() == self.json_text(doc).encode("ascii")
 
     def test_measure_where_a_random_start_wins(self, tmp_path, capsys, emitted):

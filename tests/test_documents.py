@@ -98,6 +98,23 @@ class TestParseObservableSet:
             assert np.array_equal(a.vectors, b.vectors)
             assert a.label == b.label
 
+    def test_rejects_repeated_labels(self, tmp_path, capsys):
+        from qincompat.cli import main
+
+        z, x = [[1, 0], [0, -1]], [[0, 1], [1, 0]]
+        explicit = {"dim": 2, "items": [observable_item(z, "a"), observable_item(x, "a")]}
+        with pytest.raises(InputFormatError, match=r"^items\[1\]\.label: 'a' repeats items\[0\]\.label$"):
+            parse_observable_set(explicit)
+        # an item without a label reads item-<i>, which an explicit label can repeat
+        unlabelled = {"type": "observable", "matrix": observable_item(x)["matrix"]}
+        default = {"dim": 2, "items": [observable_item(z, "item-1"), unlabelled]}
+        with pytest.raises(InputFormatError, match=r"^items\[1\]\.label: 'item-1' repeats items\[0\]\.label$"):
+            parse_observable_set(default)
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(explicit))
+        assert main(["measure", str(path)]) == 2
+        assert capsys.readouterr().err == "error: items[1].label: 'a' repeats items[0].label\n"
+
     def test_rejects_bad_dim(self):
         with pytest.raises(InputFormatError):
             parse_observable_set({"dim": "two", "items": [observable_item([[1, 0], [0, -1]])]})

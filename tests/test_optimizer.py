@@ -36,6 +36,7 @@ from conftest import (
     qubit_fidelity_optimum,
     random_basis,
     random_ensemble,
+    random_hermitian,
     rotated_qubit_basis,
 )
 
@@ -376,7 +377,7 @@ class TestBatchedKernel:
         cases = [random_ensemble(d, n, rng) for d in (2, 3, 4, 5) for n in (2, 3)]
         # d = 6 takes the warm-started eigenpairs from sweep 2 on
         warm = random_ensemble(6, 2, np.random.default_rng(8))
-        return cases + [signal_ensemble(mub_bases(3, 2)), warm]
+        return cases + [random_ensemble(3, 2, np.random.default_rng(21)), warm]
 
     def test_every_start_matches_reference_and_runs_alone(self, monkeypatch):
         from qincompat import linalg
@@ -491,17 +492,17 @@ class TestBatchedKernel:
         assert abs(runs.fidelity[1] - mate_value) <= 1e-12
 
     def test_prune_error_names_start_and_sweep(self, monkeypatch):
-        # on two unbiased qutrit bases the cap is loose, so sweep 1 is followed by a step
+        # on a random qutrit pair the caps are loose, so sweep 1 is followed by a step
         monkeypatch.setattr(optimizer, "WEIGHT_PRUNE_EPS", 10.0)
-        ens = signal_ensemble(mub_bases(3, 2))
+        ens = random_ensemble(3, 2, np.random.default_rng(21))
         with pytest.raises(SingularUpdateError, match=r"all outcomes pruned .*\(start 0, sweep 1\)"):
             optimal_fidelity(ens, OptimizerConfig(restarts=1))
 
     def test_fall_error_names_start_and_sweep(self, monkeypatch):
-        # below 0 the guard reads the flat first plain step of a projective start as a fall
+        # at -1 the guard reads any plain step that gains less than 1, as the first one of start 0 does, as a fall
         monkeypatch.setattr(optimizer, "MONOTONE_TOL", -1.0)
         with pytest.raises(NonMonotoneError, match=r"^fidelity fell from .* \(start 0, sweep 2\)$"):
-            optimal_fidelity(signal_ensemble(mub_bases(3, 2)), FAST)
+            optimal_fidelity(random_ensemble(3, 2, np.random.default_rng(21)), FAST)
 
 
 class TestOverRelaxation:
@@ -530,8 +531,11 @@ class TestOverRelaxation:
             np.testing.assert_array_equal(runs.weights, weights * norms**2)
             np.testing.assert_array_equal(runs.directions, moved / norms[..., None])
 
-    def test_unbiased_qutrit_pair_converges_before_the_cap(self):
+    def test_unbiased_qutrit_pair_converges_before_the_cap(self, monkeypatch):
+        # with no upper bound to stop at sweep 1, every start runs its own measurement steps
+        monkeypatch.setattr(optimizer, "collision_cap", lambda ens: (math.inf, True))
         search = optimal_fidelity(signal_ensemble(mub_bases(3, 2)), FAST)
+        assert search.fidelity_upper == math.inf and max(search.start_sweeps) > 1
         assert max(search.start_sweeps) < FAST.max_iters
         assert abs(search.fidelity - 2.0 / 3.0) <= 1e-9
 
@@ -887,7 +891,7 @@ class TestOptimalFidelity:
         assert search.iterations == sum(search.start_sweeps)
 
     def test_capped_starts_show_in_start_sweeps(self):
-        ens = signal_ensemble(mub_bases(3, 2))
+        ens = random_ensemble(3, 2, np.random.default_rng(21))
         search = optimal_fidelity(ens, OptimizerConfig(restarts=2, seed=0, max_iters=5))
         assert max(search.start_sweeps) == 5
         assert min(search.start_sweeps) >= 1
@@ -1064,10 +1068,11 @@ class TestIncompatibility:
         assert report.q_upper_large_n == pytest.approx(0.5)
         assert report.fuchs_floor == pytest.approx(0.5)
         assert report.optimal_fidelity >= report.fidelity_floor - 1e-9
-        # the spectral cap is loose on a pair of unbiased qutrit bases: 0.789 against 2/3
-        assert report.fidelity_upper == pytest.approx(0.7886751345948129, abs=1e-9)
+        # the collision-sum cap is the exact 2/3 on a pair of unbiased qutrit bases (the spectral cap is 0.789)
+        assert 0.0 < report.fidelity_upper - 2.0 / 3.0 <= 1e-13
         assert report.optimality_gap == report.fidelity_upper - report.optimal_fidelity
-        assert report.search_status == "best-found-lower-bound"
+        assert report.search_status == "certified-within-gap"
+        assert report.start_sweeps == (1,) * (2 + FAST.restarts)
 
     def test_deterministic_for_fixed_seed(self):
         config = OptimizerConfig(restarts=3, seed=11)
@@ -1161,9 +1166,81 @@ class TestSpectralCap:
 
     def test_fidelity_above_the_cap_raises(self, monkeypatch):
         config = OptimizerConfig(restarts=2, seed=5)
-        monkeypatch.setattr(optimizer, "spectral_cap", lambda ens: 0.5)
+        monkeypatch.setattr(optimizer, "collision_cap", lambda ens: (0.5, True))
         with pytest.raises(BoundViolationError, match=r"above its upper bound 0\.5 \(seed 5, start 0\)$"):
             incompatibility(mub_bases(3, 2), config)
+
+
+class TestCollisionCap:
+    """The collision-sum cap: a bound on every set, exact on unbiased sets, qubits and shared-eigenvector pairs."""
+
+    TIGHT = OptimizerConfig(restarts=2, seed=0, convergence_eps=1e-14, max_iters=20000)
+
+    @staticmethod
+    def turned(bases, rng):
+        """The bases under one Haar-random unitary, the eigenbasis of a random Hermitian matrix."""
+        turn = random_basis(bases[0].dim, rng).vectors
+        return ObservableSet(tuple(Eigenbasis(b.vectors @ turn, label=b.label) for b in bases))
+
+    def tight_fidelity(self, ens, monkeypatch):
+        """The search at convergence_eps 1e-14 with no cap to stop at."""
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "collision_cap", lambda ens: (math.inf, True))
+            return optimal_fidelity(ens, self.TIGHT).fidelity
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_never_below_a_tight_search(self, dim, count, monkeypatch):
+        # the d = 6, N = 5 set is drawn from default_rng(3), the others from default_rng((d, N))
+        ens = random_ensemble(dim, count, np.random.default_rng(3 if (dim, count) == (6, 5) else (dim, count)))
+        cap, attained = optimizer.collision_cap(ens)
+        assert not attained
+        assert cap >= self.tight_fidelity(ens, monkeypatch)
+
+    def test_stop_takes_the_lower_of_the_two_caps(self):
+        # on this d = 4 set of 5 bases the spectral cap is 0.0254 below the collision-sum cap
+        ens = random_ensemble(4, 5, np.random.default_rng(51))
+        spectral = optimizer.spectral_cap(ens)
+        assert spectral < optimizer.collision_cap(ens)[0] - 0.02
+        assert optimal_fidelity(ens, FAST).fidelity_upper == spectral
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 7])
+    def test_exact_on_every_unbiased_set(self, dim, monkeypatch):
+        ensembles = [signal_ensemble(mub_bases(dim, count)) for count in range(1, dim + 2)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # Weyl's inequality settles unbiased bases
+        for count, ens in enumerate(ensembles, start=1):
+            cap, attained = optimizer.collision_cap(ens)
+            assert attained
+            assert 0.0 <= cap - (count + dim - 1.0) / (count * dim) <= 1e-13
+
+    def test_partial_unbiased_set_stops_at_sweep_one(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "spectral_cap", None)  # the projective starts attain the cap: not needed
+        report = incompatibility(mub_bases(5, 3), OptimizerConfig())
+        assert report.search_status == "certified-within-gap"
+        assert report.start_sweeps == (1,) * (3 + OptimizerConfig().restarts)
+        assert abs(report.incompatibility - (1 - 1 / 3) * (1 - 1 / 5)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+    def test_exact_on_shared_eigenvector_pairs(self, dim):
+        pair = shared_eigenvector_pair(dim)
+        for obs in (ObservableSet(pair), self.turned(pair, np.random.default_rng(dim))):
+            cap, attained = optimizer.collision_cap(signal_ensemble(obs))
+            assert attained
+            assert 0.0 <= cap - (0.5 + 1.0 / dim) <= 1e-12
+            report = incompatibility(obs, FAST)
+            assert report.search_status == "certified-within-gap"
+            assert report.start_sweeps == (1,) * (2 + FAST.restarts)
+
+    def test_perturbed_shared_pair_stays_bounded(self, monkeypatch):
+        # the second basis turned by exp(1e-7 i H): its kets split into blocks that overlap by about 1e-7
+        pair = shared_eigenvector_pair(6)
+        rng = np.random.default_rng(6)
+        values, vectors = np.linalg.eigh(random_hermitian(6, rng))
+        turn = (vectors * np.exp(1e-7j * values)) @ vectors.conj().T
+        ens = signal_ensemble(ObservableSet((pair[0], Eigenbasis(pair[1].vectors @ turn))))
+        cap, attained = optimizer.collision_cap(ens)
+        assert not attained
+        assert self.tight_fidelity(ens, monkeypatch) <= cap < 0.5 + 1.0 / 6.0 + 1e-3
 
 
 class TestRetire:
@@ -1218,7 +1295,8 @@ class TestStopReasons:
         assert search.start_stops == ("cap",) * 8
 
     def test_sweep_limit(self):
-        search = optimal_fidelity(signal_ensemble(mub_bases(3, 2)), OptimizerConfig(restarts=2, max_iters=3))
+        ens = random_ensemble(3, 2, np.random.default_rng(21))
+        search = optimal_fidelity(ens, OptimizerConfig(restarts=2, max_iters=3))
         assert set(search.start_stops) <= {"max_iters", "converged"} and "max_iters" in search.start_stops
         for sweeps, stop in zip(search.start_sweeps, search.start_stops):
             assert sweeps == 3 or stop == "converged"
@@ -1231,7 +1309,7 @@ class TestStopReasons:
 
 
 class TestQubitCap:
-    """For d = 2 the search stops on the exact optimum 1/2 + lambda_max(K)/(2S), where the spectral cap is loose."""
+    """For d = 2 the collision-sum cap is the exact optimum 1/2 + lambda_max(K)/(2S); the spectral cap is loose."""
 
     @staticmethod
     def ensembles():
@@ -1240,19 +1318,19 @@ class TestQubitCap:
 
     def test_cap_is_the_closed_form(self, monkeypatch):
         ensembles = self.ensembles()
-        padded = [optimizer._qubit_cap(ens) for ens in ensembles]
-        monkeypatch.setattr(optimizer, "SPECTRAL_CAP_SLACK", 0.0)
+        padded = [optimizer.collision_cap(ens)[0] for ens in ensembles]
+        monkeypatch.setattr(optimizer, "COLLISION_CAP_SLACK", 0.0)
         for ens, cap in zip(ensembles, padded):
             exact = qubit_fidelity_optimum(ens)
-            assert abs(optimizer._qubit_cap(ens) - exact) <= 1e-15
+            assert abs(optimizer.collision_cap(ens)[0] - exact) <= 1e-15
             assert exact < cap <= exact + 1e-13
 
     def test_fidelity_never_exceeds_the_cap(self):
         certified = 0
         for ens in self.ensembles():
             search = optimal_fidelity(ens, FAST)
-            cap = optimizer._qubit_cap(ens)
-            assert search.fidelity_upper == min(cap, optimizer.spectral_cap(ens))
+            cap, attained = optimizer.collision_cap(ens)
+            assert search.fidelity_upper == (cap if attained else min(cap, optimizer.spectral_cap(ens)))
             assert search.fidelity <= cap
             certified += search.fidelity_upper - search.fidelity <= GAP_TOL
         assert certified > 100
