@@ -21,11 +21,7 @@ from .tolerances import (
     RECONSTRUCTION_TOL,
     UNIT_NORM_TOL,
     WARM_CERTIFICATE_SHIFT,
-    WARM_RESIDUAL_TOL,
 )
-
-# Below this dimension one eigh is cheaper than the warm step and its checks.
-WARM_MIN_DIM = 6
 
 # Largest d whose identity is held (see identity).
 IDENTITY_HELD_MAX_DIM = 64
@@ -188,110 +184,37 @@ def herm_eigs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, E
     return values, rows, failures
 
 
-def batched_top_eig(
-    matrices: np.ndarray, guess: np.ndarray | None = None, *, _steps: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def batched_top_eig(matrices: np.ndarray, guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and a top eigenvector of a (..., d, d) Hermitian PSD stack.
 
     Evaluated without per-matrix Python overhead; inputs are trusted to be
     Hermitian. The vectors keep the solver's phases, which are deterministic
     for fixed input bits: callers that expose a vector apply fix_phases.
 
-    With a ``guess`` (..., d) of unit vectors, each matrix A first checks its
-    guess g with one matrix-vector product, and a guess that passes is
-    returned as (g^dagger A g, g) with no solver run; at d >= WARM_MIN_DIM a
-    guess that misses the residual takes Rayleigh-quotient steps (see
-    :func:`_warm_top_eig`), unless ``_steps`` is False: a caller whose
-    guesses are either exact or far off sends the misses straight on. The
-    other matrices go through one eigh of their stack. A value from a guess
-    or a step is the Rayleigh quotient of the returned vector and lies
-    within WARM_CERTIFICATE_SHIFT * tr A of the top eigenvalue.
+    With a ``guess`` (..., d) of unit vectors, each matrix A checks its guess
+    g with one matrix-vector product: it keeps (rho, g), rho = g^dagger A g,
+    with no solver run, where :func:`_certified` proves lambda_max <
+    rho + WARM_CERTIFICATE_SHIFT * tr A. Every other matrix goes through one
+    eigh of their stack, which gives each the bits of a solve of it alone.
     """
     if guess is None:
         return _eigh_top(matrices)
-    return _warm_top_eig(matrices, guess, 2 if _steps and guess.shape[-1] >= WARM_MIN_DIM else 0)
-
-
-def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(matrices)
-    return vals[..., -1], vecs[..., :, -1]
-
-
-def _warm_top_eig(matrices: np.ndarray, guess: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenpairs from checked guesses and at most ``steps`` Rayleigh-quotient steps, with eigh for the rest.
-
-    A matrix A keeps the guess g, with rho = g^dagger A g, when the residual
-    ||A g - rho g|| is at most WARM_RESIDUAL_TOL * tr A and :func:`_certified`
-    proves lambda_max < rho + WARM_CERTIFICATE_SHIFT * tr A. A matrix whose
-    guess misses the residual takes a step from g at rho (see
-    :func:`_rayleigh_step`), checked the same way, and one whose step misses
-    again takes the next step from that step's vector.
-    A matrix whose certificate is refused, whose shifted solve is singular or
-    whose residual misses after its last step goes through eigh, alone: the
-    other matrices keep what their checks accepted.
-    """
     shape, dim = guess.shape, guess.shape[-1]
     matrices, guess = matrices.reshape(-1, dim, dim), guess.reshape(-1, dim)
-    trace = np.einsum("kii->k", matrices).real
-    rho, pending, served = _checked(matrices, guess, trace)
+    image = (matrices @ guess[..., None])[..., 0]
+    rho = np.sum(guess.conj() * image, axis=-1).real
+    residual_sq = np.square((image - rho[:, None] * guess).view(float)).sum(axis=-1)
+    served = _certified(matrices, rho, residual_sq, np.einsum("kii->k", matrices).real)
     vec = guess.copy()
-    for _ in range(steps):
-        if not pending.any():
-            break
-        at = _rows(pending)
-        y, solved = _rayleigh_step(matrices[at], vec[at], rho[at])
-        rho[at], missed, served[at] = _checked(matrices[at], y, trace[at])
-        vec[at] = y
-        pending[at] = solved & missed
     if not served.all():
         rest = ~served
         rho[rest], vec[rest] = _eigh_top(matrices[rest])
     return rho.reshape(shape[:-1]), vec.reshape(shape)
 
 
-def _rows(mask: np.ndarray) -> np.ndarray | slice:
-    """``mask`` as an index; a slice, which copies nothing, when it takes every row."""
-    return slice(None) if mask.all() else mask
-
-
-def _rayleigh_step(matrices: np.ndarray, guess: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Rayleigh-quotient step per matrix of a (n, d, d) stack: (y, solved).
-
-    y = (A - sigma I)^(-1) g, normalized. A matrix whose shifted solve is
-    singular gets a NaN row and ``solved`` False; the other rows keep the
-    bits of the batched solve.
-    """
-    shifted = matrices - sigma[:, None, None] * identity(matrices.shape[-1])
-    try:
-        y = np.linalg.solve(shifted, guess[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        y = np.full(guess.shape, np.nan, dtype=complex)
-        for k, (a, g) in enumerate(zip(shifted, guess)):
-            try:
-                y[k] = np.linalg.solve(a, g)
-            except np.linalg.LinAlgError:
-                pass
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        y = y / np.linalg.norm(y, axis=-1, keepdims=True)
-    return y, np.isfinite(y).all(axis=-1)
-
-
-def _checked(matrices: np.ndarray, vectors: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, missed, served) of unit ``vectors`` as top eigenvectors of a (n, d, d) stack, one matvec each.
-
-    rho = v^dagger A v; ``missed`` marks the rows whose residual
-    ||A v - rho v|| exceeds WARM_RESIDUAL_TOL * tr A (or is not finite), and
-    ``served`` the others that :func:`_certified` accepts.
-    """
-    image = (matrices @ vectors[..., None])[..., 0]
-    rho = np.sum(vectors.conj() * image, axis=-1).real
-    residual_sq = np.square((image - rho[:, None] * vectors).view(float)).sum(axis=-1)
-    missed = ~(residual_sq <= (WARM_RESIDUAL_TOL * trace) ** 2)
-    served = ~missed
-    if served.any():
-        at = _rows(served)
-        served[at] = _certified(matrices[at], rho[at], residual_sq[at], trace[at])
-    return rho, missed, served
+def _eigh_top(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs = np.linalg.eigh(matrices)
+    return vals[..., -1], vecs[..., :, -1]
 
 
 def _certified(matrices: np.ndarray, rho: np.ndarray, residual_sq: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -306,7 +229,7 @@ def _certified(matrices: np.ndarray, rho: np.ndarray, residual_sq: np.ndarray, t
     lambda_max(B) <= nu = m + s sqrt(d - 1) from tr B = tr A - rho and
     ||B||_F^2 = ||A||_F^2 - rho^2, with m = tr B / d and
     s^2 = ||B||_F^2 / d - m^2. A matrix is certified when rho > nu and
-    eps^2 <= shift * tr A * (rho - nu).
+    eps^2 <= shift * tr A * (rho - nu). A NaN in any input certifies nothing.
 
     Rounding pad: with delta = 4 (d + 2) eps_mach tr A, rho, m and eps are
     each taken as off by up to delta, and s^2 by up to delta * tr A (the
@@ -315,9 +238,6 @@ def _certified(matrices: np.ndarray, rho: np.ndarray, residual_sq: np.ndarray, t
     2 (eps^2 + delta^2) < (shift * tr A - delta) * (rho - nu - 2 delta), with
     s taken as sqrt(s^2 + delta * tr A); 2 (eps^2 + delta^2) bounds
     (eps + delta)^2.
-
-    A matrix this bound cannot separate is certified when
-    (rho + shift * tr A) I - A has a Cholesky factor.
     """
     dim = matrices.shape[-1]
     delta = 4 * (dim + 2) * np.finfo(float).eps * trace
@@ -326,29 +246,7 @@ def _certified(matrices: np.ndarray, rho: np.ndarray, residual_sq: np.ndarray, t
     spread = np.sqrt(np.maximum((frobenius_sq - rho * rho) / dim - mean * mean, 0.0) + delta * trace)
     gap = rho - mean - spread * np.sqrt(dim - 1) - 2 * delta
     shift = WARM_CERTIFICATE_SHIFT * trace
-    certified = (gap > 0) & (2 * (residual_sq + delta * delta) < (shift - delta) * gap)
-    if not certified.all():
-        rest = ~certified
-        certified[rest] = _cholesky_certified(matrices[rest], rho[rest] + shift[rest])
-    return certified
-
-
-def _cholesky_certified(matrices: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Per matrix of a (n, d, d) stack: does bound * I - A have a Cholesky factor?"""
-    shifted = bound[:, None, None] * identity(matrices.shape[-1]) - matrices
-    try:
-        np.linalg.cholesky(shifted)
-        return np.ones(len(shifted), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    factored = np.zeros(len(shifted), dtype=bool)
-    for k, a in enumerate(shifted):
-        try:
-            np.linalg.cholesky(a)
-            factored[k] = True
-        except np.linalg.LinAlgError:
-            pass
-    return factored
+    return (gap > 0) & (2 * (residual_sq + delta * delta) < (shift - delta) * gap)
 
 
 def projector(vector: np.ndarray) -> np.ndarray:

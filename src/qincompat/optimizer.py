@@ -349,19 +349,32 @@ def collision_cap(ens: SignalEnsemble) -> tuple[float, bool]:
     for rounding, n_b the block's ket count. Where a block's Gram matrix is
     within that pad, in Frobenius norm, of the one of unbiased bases (I -
     J/d_b within each basis, 0 across bases, top eigenvalue 1), Weyl's
-    inequality puts mu_b within it of 1, and no eigenvalue is computed. A
-    split adds 8 d n a for the largest overlap a across blocks: kets of
-    exactly orthogonal blocks lie within n a of the given ones, and F and the
-    cap move by at most 4 d per unit of ket error. The flag is True when
-    every mu_b is at most 1 up to its pad: each basis vector, resent as
-    measured, then scores its block's cap, so the projective starts attain
-    the cap at sweep 1 and no bound can be lower.
+    inequality puts mu_b within it of 1, and no eigenvalue is computed.
+
+    A split adds 8 d a for the largest overlap a across blocks. Within basis
+    j the block spans S_jb are orthogonal, and the part of a ket of S_jb off
+    S_1b has squared norm at most (d - d_b) a^2, so W_j = sum_b Pi_1b Pi_jb
+    has ||W_j - I||_F^2 <= a^2 sum_b d_b (d - d_b) <= (d a)^2 and singular
+    values in [1 - (d a)^2, 1], and its polar factor U_j, a unitary that takes
+    every S_jb onto S_1b, has ||U_j - I|| <= eps = d a (1 + d a). The kets
+    v'_k = U_j v_k keep each basis orthonormal and lie in exactly orthogonal
+    blocks, so the argument above holds for them. Each of a strategy's N d
+    probabilities moves by at most eps, and each basis's sum to 1, so F
+    moves by at most 2 eps. Each basis's columns vec(P_k) are orthonormal
+    and turn by ||conj(U_j) (x) U_j - I|| <= 2 eps, so the Gram matrix
+    moves by at most 4 N eps in norm, mu_b as much, and the cap by at most
+    4 eps (d - B)/d over B blocks. Then 6 eps <= 8 d a while d a <= 1/3,
+    which a <= BLOCK_SPLIT_TOL keeps for any d below 3e5.
+
+    The flag is True when every mu_b is at most 1 up to its pad: each basis
+    vector, resent as measured, then scores its block's cap, so the
+    projective starts attain the cap at sweep 1 and no bound can be lower.
     """
-    dim, n_bases, n = ens.dim, ens.n_bases, ens.n_states
+    dim, n_bases = ens.dim, ens.n_bases
     overlaps = np.abs(ens.kets.conj() @ ens.kets.T) ** 2
     blocks = _blocks(overlaps > BLOCK_SPLIT_TOL**2, dim)
     split = blocks.any()
-    cross = 8.0 * dim * n * math.sqrt(float(overlaps[blocks[:, None] != blocks].max())) if split else 0.0
+    cross = 8.0 * dim * math.sqrt(float(overlaps[blocks[:, None] != blocks].max())) if split else 0.0
     total, attained = 0.0, True
     for block in range(blocks.max() + 1):
         members = np.flatnonzero(blocks == block)
@@ -684,18 +697,18 @@ def _score(ens: SignalEnsemble, weights: np.ndarray, directions: np.ndarray, bat
     sum_a m_a lambda_max. Returns (value, eta, rows). At d >= GATHER_MIN_DIM only live rows are
     solved, a dead row keeps its kept resend direction, and ``rows`` is the live-row gather (mask,
     directions, eta) for the plain step; otherwise None. At sweep 1 a row's guess is its own
-    direction: exact on a 2-design, far off on a random start, so a miss goes straight to eigh.
-    Later, at d >= linalg.WARM_MIN_DIM, the guess is the kept resend direction.
+    direction, exact on a 2-design and far off on a random start (see linalg.batched_top_eig);
+    from sweep 2 on every row goes to eigh, since the kept resend direction is seldom close
+    enough to be certified.
     """
-    steps = batch.value is not None
-    guess = directions if not steps else batch.eta if ens.dim >= linalg.WARM_MIN_DIM else None
+    guess = directions if batch.value is None else None
     live = weights > 0.0
     if ens.dim < GATHER_MIN_DIM or live.all():
-        lam, eta = linalg.batched_top_eig(_phi_batch(ens, _signal_overlaps(ens, directions)), guess, _steps=steps)
+        lam, eta = linalg.batched_top_eig(_phi_batch(ens, _signal_overlaps(ens, directions)), guess)
         return np.einsum("sa,sa->s", weights, lam), eta, None
     gathered = directions[live]
     phi = _phi_batch(ens, _signal_overlaps(ens, gathered))
-    top, top_eta = linalg.batched_top_eig(phi, None if guess is None else guess[live], _steps=steps)
+    top, top_eta = linalg.batched_top_eig(phi, None if guess is None else gathered)
     lam, eta = np.zeros(weights.shape), batch.eta.copy()
     lam[live], eta[live] = top, top_eta
     # a contiguous copy, as eta[live] is, so that the plain step's matmul does not depend on eigh's strides

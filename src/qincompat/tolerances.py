@@ -13,10 +13,9 @@ EIGENVECTOR_GRAM_TOL = 1e-10  # ||G - I||_F, G_ij = <v_i|v_j> of computed eigenv
 RECONSTRUCTION_TOL = 1e-9  # ||sum_j w_j |v_j><v_j| - (H + H^dagger)/2||_F <= tol * max(1, ||H||_F): relative
 UNIT_NORM_TOL = 1e-12  # | ||v||_2 - 1 | of the vector given to linalg.projector: absolute
 PHASE_FLOOR = 1e-12  # smallest |amplitude| fix_phases takes as a row's leading amplitude: absolute
-WARM_RESIDUAL_TOL = 1e-10  # ||A y - rho y||_2 <= tol * tr A for a warm top eigenpair: relative to tr A
-# A warm pair (rho, y) is kept only with a proof that lambda_max < rho + shift * tr A: Kato-Temple with a
-# Wolkowicz-Styan bound on lambda_2, or failing that a Cholesky factor of (rho + shift * tr A) I - A
-WARM_CERTIFICATE_SHIFT = 1e-13  # certified distance of a warm value below lambda_max: relative to tr A
+# A guessed top eigenpair (rho, g) is kept only with a proof that lambda_max < rho + shift * tr A: Kato-Temple
+# with a Wolkowicz-Styan bound on lambda_2, from rho, ||A g - rho g||, tr A and ||A||_F; any other goes to eigh
+WARM_CERTIFICATE_SHIFT = 1e-13  # certified distance of a kept guess's value below lambda_max: relative to tr A
 
 # Bases, observables and signal ensembles (observables, documents)
 BASIS_GRAM_TOL = 1e-10  # max_ij | |<v_i|v_j>|^2 - delta_ij | and ||sum_j |v_j><v_j| - I||_F: absolute
