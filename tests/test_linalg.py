@@ -307,6 +307,23 @@ class TestWarmTopEig:
         assert eigh_rows == [1]
         assert np.all(np.abs(lam - vals[:, -1]) < linalg.WARM_CERTIFICATE_SHIFT / self.DIM)
 
+    def test_without_steps_a_missed_guess_goes_straight_to_eigh(self, eigh_rows, monkeypatch):
+        # the see-saw's sweep-1 call: exact guesses are served, the others get eigh's bits, and no other
+        # solver runs
+        rng = np.random.default_rng(16)
+        matrices = random_psd_stack(10, self.DIM, rng)
+        vals, vecs = np.linalg.eigh(matrices)
+        guess = vecs[:, :, -1].copy()
+        guess[4:] = near(vecs[4:, :, -1], 1e-4, rng)
+        for name in ("solve", "cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, None)
+        eigh_rows.clear()
+        lam, eta = linalg.batched_top_eig(matrices, guess)
+        assert eigh_rows == [6]
+        np.testing.assert_array_equal(eta[:4], vecs[:4, :, -1])
+        np.testing.assert_array_equal(lam[4:], vals[4:, -1])
+        np.testing.assert_array_equal(eta[4:], vecs[4:, :, -1])
+
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_served_rows_are_within_the_certificate(self, dim, monkeypatch):
         """Soundness on Phi stacks of random ensembles: every row served without eigh is certified."""

@@ -443,6 +443,15 @@ class TestBatchedKernel:
         reach = max(booked[t - optimizer.MERGE_EVERY : t]) * (self.CONFIG.max_iters - t)
         assert best - search.traces[index][t - 1] > RETIRE_MARGIN + reach
 
+    def test_sweep_one_takes_no_rayleigh_step(self, monkeypatch):
+        # at sweep 1 a row's guess is its own measurement direction: exact on a 2-design, far off on a
+        # random start, so a guess that misses goes straight to eigh, with no shifted solve or Cholesky
+        monkeypatch.setattr(np.linalg, "solve", None)
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        ens = random_ensemble(7, 2, np.random.default_rng(9))
+        search = optimal_fidelity(ens, OptimizerConfig(restarts=2, seed=0, max_iters=1))
+        assert search.start_sweeps == (1,) * 4
+
     def test_pruned_start_matches_reference(self):
         # a projective start plus one outcome of weight 1e-13, below the
         # default prune threshold: the first update drops it
