@@ -37,7 +37,12 @@ BOUND_EXIT = 3
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
     parser.add_argument("--restarts", type=int, default=OptimizerConfig.restarts, help="random see-saw restarts")
-    parser.add_argument("--outcomes", type=int, default=None, help="outcomes of random starting POVMs (default d^2)")
+    parser.add_argument(
+        "--outcomes",
+        type=int,
+        default=None,
+        help="outcomes of random starting POVMs (default min(d^2, 4d), and d^2 where pricing finds a missed outcome)",
+    )
     parser.add_argument(
         "--tol", type=float, default=OptimizerConfig.convergence_eps, help="see-saw convergence threshold"
     )

@@ -47,14 +47,21 @@ whose gathered rows shrink with the batch. Each start records why it
 stopped: ``converged``, ``max_iters``, ``cap`` (the batch met its bound) or
 ``retired``.
 
-Random starts carry d^2 outcomes, while the optima they reach use far fewer
-distinct directions. At every d, every MERGE_EVERY (5) sweeps a start with
-more than d live outcomes scores a candidate with its nearly coincident
-outcomes merged, kept only if the fidelity did not fall; the merged-away
-outcomes cost no further eigenpairs. The start still stops where its own
-last gain falls below ``convergence_eps``, which can lie below where the
-unmerged start would have stopped. Reported strategies shrink with their
-start.
+Random starts carry min(d^2, 4d) outcomes (:meth:`OptimizerConfig.n_outcomes`).
+d^2 is enough for any extremal rank-1 POVM, but the optima use far fewer
+distinct directions. The see-saw only drops outcomes, so a start that begins
+too narrow can miss the optimum. A search that began narrower than d^2 and
+did not meet its bound is therefore priced (:func:`_price`): where a product
+vector chi (x) eta beats the reported strategy's dual point by more than
+PRICE_TOL, the whole search is rerun with d^2 outcomes, and that run is
+reported. An explicit ``outcomes`` is never priced or rerun.
+
+At every d, every MERGE_EVERY (5) sweeps a start with more than d live
+outcomes scores a candidate with its nearly coincident outcomes merged, kept
+only if the fidelity did not fall; the merged-away outcomes cost no further
+eigenpairs. The start still stops where its own last gain falls below
+``convergence_eps``, which can lie below where the unmerged start would have
+stopped. Reported strategies shrink with their start.
 
 Reports are deterministic: restart r draws from a stream seeded by
 (config.seed, r), so identical configurations give identical output. The
@@ -105,6 +112,7 @@ from .tolerances import (
     GAP_TOL,
     MONOTONE_TOL,
     PINV_CUTOFF,
+    PRICE_TOL,
     RETIRE_MARGIN,
     SPECTRAL_CAP_SLACK,
     TIE_TOL,
@@ -130,6 +138,12 @@ SLOW_GAIN_RATIO = 0.9
 MERGE_EVERY = 5
 MERGE_OVERLAP = 0.9999
 
+# Random starts carry NARROW_OUTCOMES_PER_DIM * d outcomes where that is below d^2 (see OptimizerConfig.n_outcomes).
+# On 32 Haar sets with d = 6-12 and N = 2-3 and Haar pairs at d = 12, 16 and 24, 4d lost 4.0e-5 to 1.7e-4 of F
+# on five sets, each of which pricing flags and reruns with d^2; 3d lost 1.2e-4 on the pair at d = 16, and would
+# narrow the starts at d = 4.
+NARROW_OUTCOMES_PER_DIM = 4
+
 # Largest Phi stack, in bytes, that the see-saw may hold for one set.
 KERNEL_BYTE_BUDGET = 2**28
 
@@ -144,7 +158,9 @@ class OptimizerConfig:
     """Search parameters for the see-saw fidelity maximization.
 
     ``outcomes`` is the number of rank-1 elements in random starting POVMs;
-    None means d^2, enough for any extremal rank-1 POVM in dimension d.
+    None means min(d^2, 4d), and d^2, enough for any extremal rank-1 POVM
+    in dimension d, where pricing finds an outcome the search missed (see
+    :func:`optimal_fidelity`).
     """
 
     restarts: int = 16
@@ -168,7 +184,12 @@ class OptimizerConfig:
             raise ValueError(f"convergence_eps must be positive and finite, got {eps!r}")
 
     def n_outcomes(self, dim: int) -> int:
-        k = self.outcomes if self.outcomes is not None else dim * dim
+        """Outcomes of each random start: ``outcomes``, or min(d^2, 4d) when it is None.
+
+        A default search at d > 4 that pricing widens reruns with d^2; a
+        given ``outcomes`` is used as it is.
+        """
+        k = self.outcomes if self.outcomes is not None else min(dim * dim, NARROW_OUTCOMES_PER_DIM * dim)
         if k < dim:
             raise ValueError(f"outcomes {k} is too small: completeness needs at least d = {dim}")
         return k
@@ -178,12 +199,14 @@ def check_kernel_size(config: OptimizerConfig, dim: int, n_bases: int) -> None:
     """Raise ValueError when the see-saw of ``n_bases`` bases in dimension ``dim`` would not fit.
 
     The kernel holds (n_bases + restarts) x outcomes x d x d complex
-    entries at once (the Phi stack of every start and outcome). Above
+    entries at once (the Phi stack of every start and outcome), with d^2
+    outcomes when ``outcomes`` is None, the width a widened search reruns
+    at (see :func:`optimal_fidelity`). Above
     KERNEL_BYTE_BUDGET bytes the error names the field to lower: restarts
     when one restart would fit, outcomes when a given outcome count is the
     cause, dim otherwise. Nothing is allocated.
     """
-    outcomes = config.n_outcomes(dim)
+    outcomes = dim * dim if config.outcomes is None else config.n_outcomes(dim)
 
     def size(starts: int, k: int) -> int:
         return starts * k * dim * dim * np.dtype(complex).itemsize
@@ -947,6 +970,44 @@ def _built_starts(dim: int, n_outcomes: int, seed: int, restarts: int) -> tuple[
 _held_starts = functools.lru_cache(maxsize=START_HELD_COUNT)(_built_starts)
 
 
+def _starts(ens: SignalEnsemble, config: OptimizerConfig, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (N + R, K) weights and (N + R, K, d) directions of a search: projective starts padded to K, then random."""
+    dim, n_bases = ens.dim, ens.n_bases
+    weights = np.zeros((n_bases + config.restarts, n_outcomes))
+    directions = np.empty((n_bases + config.restarts, n_outcomes, dim), dtype=complex)
+    weights[:n_bases, :dim] = 1.0
+    directions[:n_bases, :dim] = ens.vectors
+    directions[:n_bases, dim:] = ens.vectors[:, :1]
+    weights[n_bases:], directions[n_bases:] = _random_starts(dim, n_outcomes, config.seed, config.restarts)
+    return weights, directions
+
+
+def _price(ens: SignalEnsemble, search: FidelitySearch) -> float:
+    """The largest reduced cost found at the dual point of a search's strategy; a search, not a bound.
+
+    Write W = (1/Nd) sum_k P_k (x) P_k, so that <chi (x) eta|W|chi (x) eta> =
+    chi^dagger Phi(eta) chi. The reported strategy gives the dual point Y =
+    herm(sum_a m_a Phi(eta_a) chi_a chi_a^dagger), whose trace is F. An
+    outcome (chi, eta) with <chi (x) eta|W - Y (x) I|chi (x) eta> > 0 would
+    raise F if the strategy could take it on: that is the reduced cost of
+    column generation over the semi-infinite LP (Hettich and Kortanek, SIAM
+    Rev. 35, 380, 1993). It is sought from the N d signal states (v_k, v_k)
+    and the reported outcomes (chi_a, eta_a) by two rounds of alternating
+    top eigenvectors, chi <- top of Phi(eta) - Y, then eta <- top of
+    Phi(chi); the largest value at the pairs they end at is returned.
+    """
+    chi, eta = search.povm.directions, search.reconstruction.directions
+    pulled = (_phi_batch(ens, _signal_overlaps(ens, eta)) @ chi[..., None])[..., 0]
+    half = (pulled.T * search.povm.weights) @ chi.conj()
+    dual = (half + half.conj().T) / 2
+    resend = np.concatenate([ens.kets, eta])
+    for _ in range(2):
+        _, measured = linalg.batched_top_eig(_phi_batch(ens, _signal_overlaps(ens, resend)) - dual)
+        _, resend = linalg.batched_top_eig(_phi_batch(ens, _signal_overlaps(ens, measured)))
+    scored = np.sum(_signal_overlaps(ens, measured) * _signal_overlaps(ens, resend), axis=1) / ens.n_states
+    return float(np.max(scored - np.einsum("si,ij,sj->s", measured.conj(), dual, measured).real))
+
+
 def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None) -> FidelitySearch:
     """Best intercept-resend fidelity found over all see-saw starts.
 
@@ -963,23 +1024,29 @@ def optimal_fidelity(ens: SignalEnsemble, config: OptimizerConfig | None = None)
     collision-sum cap, since no bound is lower than what they attain.
     The reported value is a lower bound on the true supremum; ties within
     TIE_TOL resolve to the earliest start.
+
+    With ``config.outcomes`` None and d > 4, the random starts carry 4d
+    outcomes, fewer than d^2. Unless the batch met its bound, the reported
+    strategy is then priced (:func:`_price`), and where the largest reduced
+    cost found exceeds PRICE_TOL the whole search is rerun with d^2
+    outcomes, the search of ``outcomes=d^2``, and that run alone is
+    returned: its ``iterations`` and per-start record do not count the
+    narrow run.
     """
     config = config or OptimizerConfig()
-    dim, n_bases = ens.dim, ens.n_bases
-    check_kernel_size(config, dim, n_bases)
+    dim = ens.dim
+    check_kernel_size(config, dim, ens.n_bases)
     n_outcomes = config.n_outcomes(dim)
-
-    weights = np.zeros((n_bases + config.restarts, n_outcomes))
-    directions = np.empty((n_bases + config.restarts, n_outcomes, dim), dtype=complex)
-    weights[:n_bases, :dim] = 1.0
-    directions[:n_bases, :dim] = ens.vectors
-    directions[:n_bases, dim:] = ens.vectors[:, :1]
-    weights[n_bases:], directions[n_bases:] = _random_starts(dim, n_outcomes, config.seed, config.restarts)
+    weights, directions = _starts(ens, config, n_outcomes)
 
     upper, attained = collision_cap(ens)
     if not attained:
         upper = min(upper, spectral_cap(ens))
-    return _search(ens, weights, directions, config, upper)
+    search = _search(ens, weights, directions, config, upper)
+    narrow = config.outcomes is None and n_outcomes < dim * dim
+    if narrow and max(search.restart_trace) < upper - GAP_TOL and _price(ens, search) > PRICE_TOL:
+        search = _search(ens, *_starts(ens, config, dim * dim), config, upper)
+    return search
 
 
 def incompatibility(obs: ObservableSet, config: OptimizerConfig | None = None) -> IncompatibilityReport:

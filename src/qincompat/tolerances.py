@@ -48,6 +48,9 @@ TIE_TOL = 1e-12  # fall below the best start's F within which an earlier start i
 # a see-saw start is retired once the best F leads its F by more than its largest recent gain per sweep,
 # kept up over every sweep left, plus this margin
 RETIRE_MARGIN = 1e-9  # lead of the best start's F over a start's F that retires it, beyond its reach: absolute
+# the reported strategy's dual point Y = herm(sum_a m_a Phi(eta_a) chi_a chi_a^dagger) has Tr Y = F; a product
+# vector chi (x) eta with <chi (x) eta|W - Y (x) I|chi (x) eta> > 0 prices an outcome the search missed
+PRICE_TOL = 1e-5  # largest reduced cost found at Y above which a narrow search is rerun with d^2 outcomes: absolute
 
 # Entropic bound and its failure demonstration (entropic)
 PROB_FLOOR = 1e-15  # outcome probabilities at or below it add nothing to an entropy: absolute

@@ -29,7 +29,7 @@ from qincompat.optimizer import (
     q_upper_bounds,
     see_saw,
 )
-from qincompat.tolerances import GAP_TOL, RETIRE_MARGIN, TIE_TOL, WEIGHT_PRUNE_EPS
+from qincompat.tolerances import GAP_TOL, PRICE_TOL, RETIRE_MARGIN, TIE_TOL, WEIGHT_PRUNE_EPS
 from conftest import (
     one_random_povm,
     projective_povm,
@@ -231,6 +231,10 @@ class TestOptimizerConfig:
     def test_defaults_resolve_outcomes(self):
         assert OptimizerConfig().n_outcomes(3) == 9
         assert OptimizerConfig(outcomes=5).n_outcomes(3) == 5
+
+    def test_default_outcomes_are_d_squared_up_to_d4_then_4d(self):
+        assert [OptimizerConfig().n_outcomes(dim) for dim in range(2, 9)] == [4, 9, 16, 20, 24, 28, 32]
+        assert [OptimizerConfig(outcomes=k).n_outcomes(6) for k in (6, 24, 36, 50)] == [6, 24, 36, 50]
 
     def test_rejects_too_few_outcomes(self):
         with pytest.raises(ValueError, match=r"^outcomes 2 is too small: completeness needs at least d = 3$"):
@@ -751,7 +755,7 @@ class TestBestPoint:
     """Each start reports its best scored point, bit for bit, whichever write-out copies it."""
 
     @staticmethod
-    def recorded(monkeypatch, ens):
+    def recorded(monkeypatch, ens, config=FAST):
         """optimal_fidelity with every scored point recorded: checks its best points, returns (search, scored)."""
         scored, raw = [], []
         score, run_batch = optimizer._score, optimizer._see_saw_batch
@@ -767,7 +771,7 @@ class TestBestPoint:
 
         monkeypatch.setattr(optimizer, "_score", recording)
         monkeypatch.setattr(optimizer, "_see_saw_batch", kept)
-        search = optimal_fidelity(ens, FAST)
+        search = optimal_fidelity(ens, config)
         TestBestPoint.check(search, raw[0], scored)
         return search, scored
 
@@ -857,7 +861,9 @@ class TestBestPoint:
         assert search.start_sweeps == (1,) * 8
 
     def test_compaction_at_d5(self, monkeypatch):
-        search, scored = self.recorded(monkeypatch, random_ensemble(5, 2, np.random.default_rng(5)))
+        # d^2 outcomes given explicitly: the default random starts at d = 5 carry 4d = 20
+        config = OptimizerConfig(restarts=4, seed=0, outcomes=25)
+        search, scored = self.recorded(monkeypatch, random_ensemble(5, 2, np.random.default_rng(5)), config)
         widths = [weights.shape[1] for _, weights, _, _, _ in scored]
         assert widths[0] == 25 and min(widths) < 25
         assert search.best_start >= 2 and search.povm.n_outcomes > 5
@@ -1034,6 +1040,72 @@ class TestRandomStartCache:
         assert len(found) == 8 * 200
         assert all(got == expected[key] for key, got in found)
         assert optimizer._held_starts.cache_info().currsize <= len(keys)
+
+
+def haar_ensemble(dim, count, seed):
+    """Signal ensemble of ``count`` Haar-random bases drawn in turn from one generator.
+
+    Each basis is Q^T, Q from the QR factorization of a complex Gaussian
+    matrix with its columns rephased by diag(R)/|diag(R)|.
+    """
+    rng = np.random.default_rng(seed)
+    bases = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        bases.append(Eigenbasis((q * (np.diag(r) / np.abs(np.diag(r)))).T))
+    return signal_ensemble(ObservableSet(tuple(bases)))
+
+
+class TestNarrowStarts:
+    """Default random starts carry 4d outcomes at d > 4; pricing reruns the search with d^2 where it finds a miss."""
+
+    @staticmethod
+    def same_search(a, b):
+        return (a.fidelity, a.start_stops, search_bytes(a)) == (b.fidelity, b.start_stops, search_bytes(b))
+
+    @pytest.mark.parametrize("price,outcomes", [(1.0, 36), (0.0, 24)])
+    def test_price_decides_the_width(self, monkeypatch, price, outcomes):
+        ens = random_ensemble(6, 2, np.random.default_rng(8))
+        monkeypatch.setattr(optimizer, "_price", lambda ens, search: price)
+        search = optimal_fidelity(ens, FAST)
+        assert self.same_search(search, optimal_fidelity(ens, OptimizerConfig(restarts=4, seed=0, outcomes=outcomes)))
+
+    @pytest.mark.parametrize(
+        "ens,config",
+        [
+            (random_ensemble(6, 2, np.random.default_rng(8)), OptimizerConfig(restarts=4, seed=0, outcomes=24)),
+            (signal_ensemble(mub_bases(5, 3)), FAST),
+            (random_ensemble(4, 2, np.random.default_rng(8)), FAST),
+        ],
+        ids=["given-outcomes", "certified", "d4"],
+    )
+    def test_not_priced(self, monkeypatch, ens, config):
+        def refused(ens, search):
+            raise AssertionError("priced")
+
+        monkeypatch.setattr(optimizer, "_price", refused)
+        optimal_fidelity(ens, config)
+
+    def test_converged_default_strategy_prices_below_the_tolerance(self):
+        ens = random_ensemble(6, 2, np.random.default_rng(8))
+        assert optimizer._price(ens, optimal_fidelity(ens, FAST)) < PRICE_TOL
+
+    def test_missed_outcome_is_priced_and_widened(self, monkeypatch):
+        # random starts of 4d = 40 outcomes miss this set's optimum by 1.4e-4
+        missed_by_4d = haar_ensemble(10, 3, 11)
+        priced, price = [], optimizer._price
+
+        def recording(ens, search):
+            priced.append((search, price(ens, search)))
+            return priced[-1][1]
+
+        monkeypatch.setattr(optimizer, "_price", recording)
+        search = optimal_fidelity(missed_by_4d, FAST)
+        [(narrow, reduced_cost)] = priced
+        assert narrow.povm.n_outcomes <= 40 and reduced_cost > 1e-4
+        wide = optimal_fidelity(missed_by_4d, OptimizerConfig(restarts=4, seed=0, outcomes=100))
+        assert self.same_search(search, wide)
+        assert search.fidelity - narrow.fidelity > 1e-4
 
 
 class TestIncompatibility:
